@@ -14,8 +14,9 @@ from .policies import (AuditResult, PolicyKind, QueueJob, QueueState,
                        Schedule, audit_work_conservation, schedule_fcfs,
                        schedule_modified_fcfs, schedule_snf, schedule_snf_np,
                        snf_allocation)
-from .sim import (SimResult, check_infinite_server_dominance, check_sandwich,
-                  simulate, simulate_coupled)
+from .sim import (DOMINANCE_SYSTEMS, SimResult, check_couplings,
+                  check_infinite_server_dominance, check_sandwich,
+                  sandwich_systems, simulate, simulate_coupled)
 from .stream import JobStream, build_job_stream
 from .stats import (BatchMeansEstimate, batch_means, from_batch_values,
                     mean_waiting_time, queueing_probability, workload)

@@ -22,8 +22,7 @@ from . import stats
 from .bounds import evaluate_bounds
 from .model import ParamSet, SystemConfig, derive_params, make_param_set
 from .policies import PolicyKind
-from .sim import (build_job_stream, check_infinite_server_dominance,
-                  check_sandwich, simulate, simulate_coupled)
+from .sim import build_job_stream, check_couplings, simulate
 from .verify import SUITES, run_suite
 
 LARGE_N = 4096  # larger sweeps are compute-heavy and need an explicit opt-in
@@ -305,28 +304,23 @@ def verify(suite):
 @main.command()
 @shared_options
 @click.option("--n", type=int, default=64, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", "seeds", type=int, multiple=True, default=(0,),
+              show_default=True)
 @click.option("--jobs", type=int, default=100_000, show_default=True)
-def couple(param_set, warmup, batches, n, seed, jobs):
+def couple(param_set, warmup, batches, n, seeds, jobs):
     """Coupled-path checks: waiting-time sandwich and infinite-server
-    dominance on one shared stream; nonzero exit if either fails."""
+    dominance on one shared stream per seed; nonzero exit if any fails."""
     config = resolve_config(param_set, n)
-    l_max = derive_params(config).l_max
-    stream = build_job_stream(seed, jobs, config)
-    triple = simulate_coupled(
-        [(PolicyKind.MODIFIED_FCFS, config.n + l_max),
-         (PolicyKind.FCFS, None),
-         (PolicyKind.MODIFIED_FCFS, None)], config, stream, warmup,
-        batches=batches)
-    sandwich_ok = check_sandwich(triple)
-    pair = simulate_coupled(
-        [(PolicyKind.INFINITE_SERVER, None), (PolicyKind.FCFS, None)],
-        config, stream, warmup, batches=batches)
-    dominance_ok = check_infinite_server_dominance(pair)
-    click.echo(f"[{'PASS' if sandwich_ok else 'FAIL'}] waiting-time sandwich "
-               f"(n={config.n}, jobs={jobs}, seed={seed})")
-    click.echo(f"[{'PASS' if dominance_ok else 'FAIL'}] infinite-server dominance")
-    if not (sandwich_ok and dominance_ok):
+    all_ok = True
+    for seed in seeds:
+        stream = build_job_stream(seed, jobs, config)
+        sandwich_ok, dominance_ok = check_couplings(config, stream, warmup,
+                                                    batches=batches)
+        click.echo(f"[{'PASS' if sandwich_ok else 'FAIL'}] waiting-time sandwich "
+                   f"(n={config.n}, jobs={jobs}, seed={seed})")
+        click.echo(f"[{'PASS' if dominance_ok else 'FAIL'}] infinite-server dominance")
+        all_ok &= sandwich_ok and dominance_ok
+    if not all_ok:
         sys.exit(1)
 
 

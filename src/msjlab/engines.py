@@ -240,36 +240,29 @@ def run_snf_np(stream: JobStream, needs, mus, n_servers: int):
     return waits, starts, departures
 
 
-def _segment_bin_integrals(seg_starts, seg_ends, values, bin_edges):
-    """Integral of a piecewise-constant function over each bin.
-
-    Segments are [seg_starts[j], seg_ends[j]) with value values[j]; bins are
-    consecutive [bin_edges[b], bin_edges[b+1]) intervals.
-    """
-    nbins = len(bin_edges) - 1
-    out = np.zeros(nbins)
-    for b in range(nbins):
-        a, bb = bin_edges[b], bin_edges[b + 1]
-        overlap = np.minimum(seg_ends, bb) - np.maximum(seg_starts, a)
+def _bin_overlaps(lo, hi, edges):
+    """Per bin [edges[b], edges[b+1]), the overlap length of each interval
+    [lo[k], hi[k]) with it."""
+    for a, b in zip(edges[:-1], edges[1:]):
+        overlap = np.minimum(hi, b) - np.maximum(lo, a)
         np.clip(overlap, 0.0, None, out=overlap)
-        out[b] = np.dot(values, overlap)
-    return out
+        yield overlap
+
+
+def _segment_bin_integrals(seg_starts, seg_ends, values, bin_edges):
+    """Integral over each bin of the piecewise-constant function that takes
+    value values[j] on segment [seg_starts[j], seg_ends[j])."""
+    return np.array([np.dot(values, overlap)
+                     for overlap in _bin_overlaps(seg_starts, seg_ends, bin_edges)])
 
 
 def _interval_bin_integrals(lo, hi, bin_edges):
     """Sum over intervals [lo_k, hi_k) of overlap length with each bin."""
-    nbins = len(bin_edges) - 1
-    out = np.zeros(nbins)
-    for b in range(nbins):
-        a, bb = bin_edges[b], bin_edges[b + 1]
-        overlap = np.minimum(hi, bb) - np.maximum(lo, a)
-        np.clip(overlap, 0.0, None, out=overlap)
-        out[b] = overlap.sum()
-    return out
+    return np.array([overlap.sum() for overlap in _bin_overlaps(lo, hi, bin_edges)])
 
 
 def collect_stats(*, arrivals, departures, types, needs, mus, n_servers,
-                  config_n, window, batches, delta_prime,
+                  window, batches, delta_prime,
                   service_starts=None, zlog=None):
     """Time averages, per-batch integrals and the work-conservation audit.
 
@@ -334,7 +327,7 @@ def collect_stats(*, arrivals, departures, types, needs, mus, n_servers,
     sx = sx[keep]
     sz = sz[keep]
 
-    qmask = sx >= config_n
+    qmask = sx >= n_servers
     seg_starts = t_ep
     seg_ends = np.append(t_ep[1:], max(t1, t_ep[-1]))
     batch_qprob = _segment_bin_integrals(seg_starts, seg_ends,

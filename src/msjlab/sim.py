@@ -14,8 +14,9 @@ from .policies import AuditResult, PolicyKind
 from .stream import JobStream, build_job_stream  # re-export for convenience
 
 __all__ = [
-    "SimResult", "simulate", "simulate_coupled", "check_sandwich",
-    "check_infinite_server_dominance", "build_job_stream", "JobStream",
+    "SimResult", "simulate", "simulate_coupled", "sandwich_systems",
+    "DOMINANCE_SYSTEMS", "check_sandwich", "check_infinite_server_dominance",
+    "check_couplings", "build_job_stream", "JobStream",
 ]
 
 
@@ -126,7 +127,6 @@ def simulate(
         needs=needs,
         mus=mus,
         n_servers=qp_n,
-        config_n=qp_n,
         window=(t0, t1),
         batches=batches,
         delta_prime=delta_prime,
@@ -185,12 +185,25 @@ def simulate_coupled(
     ]
 
 
+def sandwich_systems(config: SystemConfig) -> list:
+    """The coupled [lower, original, upper] systems of the waiting-time
+    sandwich: [Modified-FCFS @ n+l_max, FCFS @ n, Modified-FCFS @ n]."""
+    l_max = derive_params(config).l_max
+    return [(PolicyKind.MODIFIED_FCFS, config.n + l_max),
+            (PolicyKind.FCFS, None),
+            (PolicyKind.MODIFIED_FCFS, None)]
+
+
+# The coupled [infinite-server, finite] pair of the dominance check.
+DOMINANCE_SYSTEMS = ((PolicyKind.INFINITE_SERVER, None), (PolicyKind.FCFS, None))
+
+
 def check_sandwich(results) -> bool:
     """Pathwise waiting-time sandwich: lower <= original <= upper, every job.
 
     Expects [lower, original, upper] from a coupled run of
-    [Modified-FCFS @ n+l_max, FCFS @ n, Modified-FCFS @ n].  Comparison is
-    exact; the coupling argument is pathwise, not statistical.
+    ``sandwich_systems(config)``.  Comparison is exact; the coupling
+    argument is pathwise, not statistical.
     """
     if len(results) != 3:
         raise ValueError("expected [lower, original, upper]")
@@ -212,8 +225,10 @@ def _type_step(arrivals, departures, types, type_index):
     return t, cum
 
 
-def _step_at(t_sorted, cum, query):
-    idx = np.searchsorted(t_sorted, query, side="right") - 1
+def _step_at(t_sorted, cum, query, side="right"):
+    """Step-function value at each query time: after the changes at that
+    time (side="right") or just before them (side="left")."""
+    idx = np.searchsorted(t_sorted, query, side=side) - 1
     vals = np.where(idx >= 0, cum[np.maximum(idx, 0)], 0.0)
     return vals
 
@@ -238,6 +253,16 @@ def check_infinite_server_dominance(coupled) -> bool:
         if np.any(_step_at(ti, ci, epochs) > _step_at(tf, cf, epochs)):
             return False
     return True
+
+
+def check_couplings(config: SystemConfig, stream: JobStream,
+                    warmup: float = 0.1, *, batches: int = 20) -> tuple[bool, bool]:
+    """(sandwich_ok, dominance_ok): both couplings run on one shared stream."""
+    sandwich_ok = check_sandwich(simulate_coupled(
+        sandwich_systems(config), config, stream, warmup, batches=batches))
+    dominance_ok = check_infinite_server_dominance(simulate_coupled(
+        DOMINANCE_SYSTEMS, config, stream, warmup, batches=batches))
+    return sandwich_ok, dominance_ok
 
 
 def dump_trajectory(result: SimResult, config: SystemConfig, path,

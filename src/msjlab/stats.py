@@ -112,10 +112,12 @@ def mean_waiting_time(result: SimResult, config: SystemConfig,
 
 
 def queueing_probability(result: SimResult) -> BatchMeansEstimate:
-    """Time-average of the saturation indicator with its batch-means CI.
+    """Time-average of the saturation indicator 1{sum_i l_i X_i >= n} (the
+    total server need of the jobs in the system reaches n), with its CI.
 
-    Equals the probability an arrival experiences queueing: Poisson arrivals
-    see time averages.
+    Not the share of jobs that wait: an arrival whose need does not fit
+    waits while the indicator is off, and under SNF and SNF-NP one whose
+    need fits starts at once while it is on.
     """
     return from_batch_values(result.batch_qprob)
 
@@ -123,15 +125,3 @@ def queueing_probability(result: SimResult) -> BatchMeansEstimate:
 def workload(result: SimResult) -> BatchMeansEstimate:
     """Time-averaged queued work (servers x expected remaining time)."""
     return from_batch_values(result.batch_workload)
-
-
-def in_service_counts(result: SimResult) -> list[BatchMeansEstimate]:
-    """Per-type time-averaged in-service counts with CIs."""
-    return [from_batch_values(result.batch_z[:, i])
-            for i in range(result.batch_z.shape[1])]
-
-
-def queue_counts(result: SimResult) -> list[BatchMeansEstimate]:
-    """Per-type time-averaged queue lengths with CIs."""
-    return [from_batch_values(result.batch_q[:, i])
-            for i in range(result.batch_q.shape[1])]

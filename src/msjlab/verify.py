@@ -17,8 +17,8 @@ from .model import (JobTypeSpec, ParamSet, SystemConfig, derive_params,
                     make_param_set)
 from .oracle import ctmc_stationary_auto, erlang_c
 from .policies import PolicyKind
-from .sim import (build_job_stream, check_infinite_server_dominance,
-                  check_sandwich, simulate, simulate_coupled)
+from .sim import (_step_at, _type_step, build_job_stream, check_couplings,
+                  simulate)
 
 
 @dataclass(frozen=True)
@@ -35,20 +35,12 @@ def _outcome(name, passed, detail=""):
 def suite_coupling(seeds=range(5), jobs=20_000) -> list[CheckOutcome]:
     """Pathwise sandwich and infinite-server dominance, exact comparisons."""
     config = make_param_set(ParamSet.ONE, 64)
-    l_max = derive_params(config).l_max
     out = []
     for seed in seeds:
-        stream = build_job_stream(seed, jobs, config)
-        triple = simulate_coupled(
-            [(PolicyKind.MODIFIED_FCFS, config.n + l_max),
-             (PolicyKind.FCFS, None),
-             (PolicyKind.MODIFIED_FCFS, None)], config, stream)
-        out.append(_outcome(f"sandwich[seed={seed}]", check_sandwich(triple)))
-        pair = simulate_coupled(
-            [(PolicyKind.INFINITE_SERVER, None), (PolicyKind.FCFS, None)],
-            config, stream)
-        out.append(_outcome(f"dominance[seed={seed}]",
-                            check_infinite_server_dominance(pair)))
+        sandwich_ok, dominance_ok = check_couplings(
+            config, build_job_stream(seed, jobs, config))
+        out.append(_outcome(f"sandwich[seed={seed}]", sandwich_ok))
+        out.append(_outcome(f"dominance[seed={seed}]", dominance_ok))
     return out
 
 
@@ -130,14 +122,8 @@ def _phi_at_arrivals(result, config, c):
     c = np.asarray(c, dtype=np.float64)
     phi = np.full(len(sample_times), -float(c @ (needs * offered)))
     for i in range(config.num_types):
-        mask = result.types == i
-        times = np.concatenate([result.arrivals[mask], result.departures[mask]])
-        deltas = np.concatenate([np.ones(mask.sum()), -np.ones(mask.sum())])
-        order = np.argsort(times, kind="stable")
-        cum = np.cumsum(deltas[order])
-        idx = np.searchsorted(times[order], sample_times, side="left") - 1
-        x_i = np.where(idx >= 0, cum[np.maximum(idx, 0)], 0.0)
-        phi += c[i] * needs[i] * x_i
+        t, cum = _type_step(result.arrivals, result.departures, result.types, i)
+        phi += c[i] * needs[i] * _step_at(t, cum, sample_times, side="left")
     return phi
 
 

@@ -10,14 +10,14 @@ import math
 import numpy as np
 import pytest
 
-from msjlab import (JobTypeSpec, ParamSet, PolicyKind, SystemConfig,
+from msjlab import (DOMINANCE_SYSTEMS, ParamSet, PolicyKind,
                     build_job_stream, check_infinite_server_dominance,
                     check_sandwich, ctmc_stationary_auto, derive_params,
                     erlang_c, make_param_set, mean_waiting_time,
-                    mminf_tail, simulate, simulate_coupled)
+                    sandwich_systems, simulate, simulate_coupled)
 from msjlab import stats
 from msjlab.cli import SweepSpec, run_sweep, write_csv
-from msjlab.verify import _phi_at_arrivals
+from msjlab.verify import suite_tails
 
 
 def report(num, name, passed, detail=""):
@@ -106,23 +106,17 @@ def test_criterion_04_sandwich_exactness():
     ok = True
     for n in (64, 256):
         config = make_param_set(ParamSet.ONE, n)
-        l_max = derive_params(config).l_max
         for seed in range(5):
             stream = build_job_stream(seed, 100_000, config)
-            triple = simulate_coupled(
-                [(PolicyKind.MODIFIED_FCFS, config.n + l_max),
-                 (PolicyKind.FCFS, None),
-                 (PolicyKind.MODIFIED_FCFS, None)], config, stream)
-            ok &= check_sandwich(triple)
+            ok &= check_sandwich(
+                simulate_coupled(sandwich_systems(config), config, stream))
     report(4, "waiting-time sandwich, zero tolerance (n in {64,256}, 5 seeds)",
            ok, "every job, exact comparison")
 
 
 def test_criterion_05_infinite_server_dominance(set_one_64):
     stream = build_job_stream(0, 500_000, set_one_64)
-    pair = simulate_coupled(
-        [(PolicyKind.INFINITE_SERVER, None), (PolicyKind.FCFS, None)],
-        set_one_64, stream)
+    pair = simulate_coupled(DOMINANCE_SYSTEMS, set_one_64, stream)
     dominance = check_infinite_server_dominance(pair)
     marginals = all(
         stats.from_batch_values(pair[0].batch_x[:, i]).contains(
@@ -218,22 +212,11 @@ def test_criterion_11_work_conservation_audits(study_runs):
            all(v == 0 for v in violations.values()) else str(violations))
 
 
-def test_criterion_12_tail_bounds(set_one_64):
-    p = derive_params(set_one_64)
-    c = tuple(1.0 / t.service_rate for t in set_one_64.types)
-    scale = math.sqrt(max(c)**2 * p.mu_max * p.sigma2)
-    result = simulate(PolicyKind.INFINITE_SERVER, set_one_64,
-                      build_job_stream(0, 1_000_000, set_one_64))
-    phi = _phi_at_arrivals(result, set_one_64, c)
-    outcomes = []
-    for mult in (0.5, 1.0, 1.5, 2.0):
-        bound = mminf_tail(set_one_64, c, mult * scale)
-        freq = float((phi <= -mult * scale).mean())
-        allowance = 3 * math.sqrt(bound * (1 - bound) / len(phi))
-        outcomes.append((mult, freq <= bound + allowance, freq, bound))
+def test_criterion_12_tail_bounds():
+    outcomes = suite_tails(seed=0, jobs=1_000_000)
     report(12, "one-sided tail bounds (infinite server, 1e6 jobs)",
-           all(ok for _, ok, _, _ in outcomes),
-           "; ".join(f"{m}x: {f:.4f}<={b:.3f}" for m, _, f, b in outcomes))
+           all(o.passed for o in outcomes),
+           "; ".join(f"{o.name}: {o.detail}" for o in outcomes))
 
 
 def test_criterion_13_determinism(tmp_path):

@@ -179,3 +179,11 @@ class TestVerifyAndCouple:
                                    "64", "--jobs", "20000"])
         assert res.exit_code == 0, res.output
         assert res.output.count("[PASS]") == 2
+
+    def test_couple_repeated_seed(self, runner):
+        res = runner.invoke(main, ["couple", "--n", "64", "--jobs", "5000",
+                                   "--seed", "0", "--seed", "1", "--seed", "2"])
+        assert res.exit_code == 0, res.output
+        assert res.output.count("[PASS]") == 6
+        for seed in (0, 1, 2):
+            assert f"seed={seed})" in res.output

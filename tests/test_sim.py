@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from msjlab import (JobTypeSpec, PolicyKind, SystemConfig,
-                    audit_work_conservation, build_job_stream,
-                    check_infinite_server_dominance, check_sandwich,
-                    derive_params, erlang_c, mean_waiting_time,
-                    queueing_probability, simulate, simulate_coupled)
+from msjlab import (DOMINANCE_SYSTEMS, PolicyKind, audit_work_conservation,
+                    build_job_stream, check_infinite_server_dominance,
+                    check_sandwich, derive_params, erlang_c,
+                    mean_waiting_time, sandwich_systems, simulate,
+                    simulate_coupled)
 from msjlab import stats
 
 
@@ -60,11 +60,7 @@ def test_identical_coupled_systems_identical_results(set_one_64):
 
 class TestSandwich:
     def triple(self, config, stream):
-        l_max = derive_params(config).l_max
-        return simulate_coupled(
-            [(PolicyKind.MODIFIED_FCFS, config.n + l_max),
-             (PolicyKind.FCFS, None),
-             (PolicyKind.MODIFIED_FCFS, None)], config, stream)
+        return simulate_coupled(sandwich_systems(config), config, stream)
 
     def test_holds_pathwise(self, set_one_64):
         stream = build_job_stream(0, 50_000, set_one_64)
@@ -100,9 +96,7 @@ class TestSandwich:
 class TestInfiniteServerDominance:
     def test_holds_pathwise(self, set_one_64):
         stream = build_job_stream(2, 50_000, set_one_64)
-        pair = simulate_coupled(
-            [(PolicyKind.INFINITE_SERVER, None), (PolicyKind.FCFS, None)],
-            set_one_64, stream)
+        pair = simulate_coupled(DOMINANCE_SYSTEMS, set_one_64, stream)
         assert check_infinite_server_dominance(pair) is True
 
     def test_poisson_marginals(self, set_one_64):
@@ -114,9 +108,7 @@ class TestInfiniteServerDominance:
 
     def test_single_job_trivial(self, set_one_64):
         stream = build_job_stream(2, 1, set_one_64)
-        pair = simulate_coupled(
-            [(PolicyKind.INFINITE_SERVER, None), (PolicyKind.FCFS, None)],
-            set_one_64, stream)
+        pair = simulate_coupled(DOMINANCE_SYSTEMS, set_one_64, stream)
         assert check_infinite_server_dominance(pair) is True
 
     def test_length_mismatch_rejected(self, set_one_64):

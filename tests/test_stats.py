@@ -62,18 +62,6 @@ def test_from_batch_values():
     assert est.half_width > 0
 
 
-def test_per_type_count_estimators(set_one_64):
-    from msjlab.stats import in_service_counts, queue_counts
-    result = simulate(PolicyKind.FCFS, set_one_64,
-                      build_job_stream(0, 50_000, set_one_64))
-    zs = in_service_counts(result)
-    qs = queue_counts(result)
-    assert len(zs) == len(qs) == 3
-    for i in range(3):
-        assert zs[i].mean == pytest.approx(result.mean_z[i], rel=1e-12)
-        assert qs[i].mean == pytest.approx(result.mean_q[i], rel=1e-12)
-
-
 class TestMeanWaitingTime:
     def test_mm2_within_ci(self, mm2):
         result = simulate(PolicyKind.FCFS, mm2,
