@@ -7,17 +7,40 @@ non-preemptive admission loop.  All paths emit the same raw material
 (per-job waits / service intervals or an explicit in-service step log),
 which ``collect_stats`` turns into time averages, batch integrals, the
 queueing-probability indicator and the work-conservation audit.
+
+Inner-loop convention: the event loops touch a few array elements per event,
+and indexing a numpy array boxes a fresh numpy scalar on every read, which
+would dominate their cost.  So every per-event input is read through a
+zero-copy ``memoryview`` of its contiguous float64/int64 array (indexing
+yields a plain ``float``/``int``), per-job outputs are written into
+``array("d")`` buffers handed back as numpy arrays with ``np.frombuffer``,
+and small per-job state lives in lists.  The arithmetic is the same IEEE
+double arithmetic in the same order, so results are bit-identical to a loop
+over numpy scalars.
 """
 
 from __future__ import annotations
 
+import math
+from array import array
 from bisect import bisect_left
+from collections import deque
 from heapq import heappop, heappush
 
 import numpy as np
 
 from .policies import AuditResult
 from .stream import JobStream, ResampleSource
+
+
+def _view(a) -> memoryview:
+    """Zero-copy element view of a contiguous array; indexing yields Python
+    scalars."""
+    return memoryview(np.ascontiguousarray(a))
+
+
+def _zeros(num: int) -> array:
+    return array("d", bytes(8 * num))
 
 
 def hol_start_times(arrivals, services, job_needs, n, admit_needs) -> np.ndarray:
@@ -29,7 +52,11 @@ def hol_start_times(arrivals, services, job_needs, n, admit_needs) -> np.ndarray
     passes the maximal need for every job.
     """
     num = len(arrivals)
-    starts = np.empty(num)
+    arrivals = _view(arrivals)
+    services = _view(services)
+    job_needs = _view(job_needs)
+    admit_needs = _view(admit_needs)
+    starts = _zeros(num)
     heap: list[tuple[float, int]] = []
     busy = 0
     t_prev = 0.0
@@ -48,10 +75,11 @@ def hol_start_times(arrivals, services, job_needs, n, admit_needs) -> np.ndarray
             while heap and heap[0][0] <= t:
                 busy -= heappop(heap)[1]
         starts[k] = t
-        busy += job_needs[k]
-        heappush(heap, (t + services[k], int(job_needs[k])))
+        need = job_needs[k]
+        busy += need
+        heappush(heap, (t + services[k], need))
         t_prev = t
-    return starts
+    return np.frombuffer(starts)
 
 
 def run_order_preserving(stream: JobStream, needs, mus, n_servers: int,
@@ -93,21 +121,24 @@ def run_snf(stream: JobStream, needs, mus, n_servers: int):
     """
     num = stream.horizon
     num_types = len(needs)
-    arrivals = stream.arrival_times
-    unit_service = stream.unit_service
-    type_of = stream.type_idx
+    arrivals = _view(stream.arrival_times)
+    unit_service = _view(stream.unit_service)
+    type_of = _view(stream.type_idx)
     needs_l = [int(v) for v in needs]
     mus_l = [float(v) for v in mus]
 
     in_system: list[list[int]] = [[] for _ in range(num_types)]
     x = [0] * num_types
     z = [0] * num_types
-    z_new = [0] * num_types
-    enq_time = np.zeros(num)
-    waits = np.zeros(num)
-    departures = np.zeros(num)
-    served_once = np.zeros(num, dtype=bool)
-    clock_epoch = np.zeros(num, dtype=np.int64)
+    # rem_before[j]: servers left for types j, j+1, ... by the greedy packing,
+    # which visits types in index order; an event of type i leaves
+    # rem_before[:i + 1] and z[:i] as they were.
+    rem_before = [n_servers] * num_types
+    enq_time = _zeros(num)
+    waits = _zeros(num)
+    departures = _zeros(num)
+    served_once = [False] * num
+    clock_epoch = [0] * num
     heap: list[tuple[float, int, int]] = []
     resample = ResampleSource(stream.seed)
 
@@ -118,7 +149,7 @@ def run_snf(stream: JobStream, needs, mus, n_servers: int):
     k_next = 0
     active = 0
     while k_next < num or active > 0:
-        t_arr = arrivals[k_next] if k_next < num else np.inf
+        t_arr = arrivals[k_next] if k_next < num else math.inf
         while heap and clock_epoch[heap[0][1]] != heap[0][2]:
             heappop(heap)
         if heap and heap[0][0] <= t_arr:
@@ -142,15 +173,13 @@ def run_snf(stream: JobStream, needs, mus, n_servers: int):
             enq_time[jid] = t
             k_next += 1
             active += 1
-        rem = n_servers
-        for j in range(num_types):
+        rem = rem_before[i]
+        for j in range(i, num_types):
+            rem_before[j] = rem
             cap = rem // needs_l[j]
-            zj = x[j] if x[j] < cap else cap
-            z_new[j] = zj
-            rem -= needs_l[j] * zj
-        for j in range(num_types):
+            zn = x[j] if x[j] < cap else cap
+            rem -= needs_l[j] * zn
             zc = z[j]
-            zn = z_new[j]
             if zn == zc:
                 continue
             lst = in_system[j]
@@ -163,8 +192,9 @@ def run_snf(stream: JobStream, needs, mus, n_servers: int):
                     else:
                         dur = unit_service[j2] / mus_l[j]
                         served_once[j2] = True
-                    clock_epoch[j2] += 1
-                    heappush(heap, (t + dur, j2, int(clock_epoch[j2])))
+                    epoch = clock_epoch[j2] + 1
+                    clock_epoch[j2] = epoch
+                    heappush(heap, (t + dur, j2, epoch))
             else:
                 for q in range(zn, zc):
                     j2 = lst[q]
@@ -176,7 +206,7 @@ def run_snf(stream: JobStream, needs, mus, n_servers: int):
             zlog_dz.append(zn - zc)
     zlog = (np.asarray(zlog_t), np.asarray(zlog_i, dtype=np.int64),
             np.asarray(zlog_dz, dtype=np.int64))
-    return waits, departures, zlog
+    return np.frombuffer(waits), np.frombuffer(departures), zlog
 
 
 def run_snf_np(stream: JobStream, needs, mus, n_servers: int):
@@ -188,45 +218,48 @@ def run_snf_np(stream: JobStream, needs, mus, n_servers: int):
     Returns (waits, starts, departures); service is contiguous.
     """
     num = stream.horizon
-    num_types = len(needs)
-    arrivals = stream.arrival_times
-    type_of = stream.type_idx
-    needs_l = [int(v) for v in needs]
-    services = stream.unit_service / mus[type_of]
+    arrivals = _view(stream.arrival_times)
+    type_of = _view(stream.type_idx)
+    services = _view(stream.unit_service / mus[stream.type_idx])
 
-    from collections import deque
-    queues = [deque() for _ in range(num_types)]
-    order = sorted(range(num_types), key=lambda i: needs_l[i])
+    queues = [deque() for _ in needs]
+    queue_needs = list(zip(queues, (int(v) for v in needs)))
     idle = n_servers
     heap: list[tuple[float, int]] = []
-    waits = np.zeros(num)
-    starts = np.zeros(num)
-    departures = np.zeros(num)
+    waits = _zeros(num)
+    starts = _zeros(num)
+    departures = _zeros(num)
 
     def admit(t):
         nonlocal idle
         while True:
+            # types are in nondecreasing need order: the first nonempty queue
+            # has the smallest need, and a later type of equal need wins with
+            # an earlier-arrived head
             best = None
-            for i in order:
-                if queues[i]:
-                    head = queues[i][0]
-                    need = needs_l[i]
-                    if best is None or (need, head) < best[:2]:
-                        best = (need, head, i)
-            if best is None or best[0] > idle:
+            for q, l in queue_needs:
+                if q:
+                    if best is None:
+                        best = q
+                        need = l
+                    elif l > need:
+                        break
+                    elif q[0] < best[0]:
+                        best = q
+            if best is None or need > idle:
                 return
-            need, jid, i = best
-            queues[i].popleft()
+            jid = best.popleft()
             waits[jid] = t - arrivals[jid]
             starts[jid] = t
-            departures[jid] = t + services[jid]
-            heappush(heap, (departures[jid], need))
+            d = t + services[jid]
+            departures[jid] = d
+            heappush(heap, (d, need))
             idle -= need
 
     k_next = 0
     active = 0
     while k_next < num or active > 0:
-        t_arr = arrivals[k_next] if k_next < num else np.inf
+        t_arr = arrivals[k_next] if k_next < num else math.inf
         if heap and heap[0][0] <= t_arr:
             t, need = heappop(heap)
             idle += need
@@ -237,7 +270,7 @@ def run_snf_np(stream: JobStream, needs, mus, n_servers: int):
             k_next += 1
             active += 1
         admit(t)
-    return waits, starts, departures
+    return np.frombuffer(waits), np.frombuffer(starts), np.frombuffer(departures)
 
 
 def _bin_overlaps(lo, hi, edges):
@@ -259,6 +292,14 @@ def _segment_bin_integrals(seg_starts, seg_ends, values, bin_edges):
 def _interval_bin_integrals(lo, hi, bin_edges):
     """Sum over intervals [lo_k, hi_k) of overlap length with each bin."""
     return np.array([overlap.sum() for overlap in _bin_overlaps(lo, hi, bin_edges)])
+
+
+def in_service_steps(zlog, num_types):
+    """Per type, the in-service count of an SNF ``zlog`` as a step function
+    (change times, count after each change)."""
+    zt, zi, zdz = zlog
+    return [(zt[mask], np.cumsum(zdz[mask]))
+            for mask in (zi == i for i in range(num_types))]
 
 
 def collect_stats(*, arrivals, departures, types, needs, mus, n_servers,
@@ -288,10 +329,7 @@ def collect_stats(*, arrivals, departures, types, needs, mus, n_servers,
             batch_z[:, i] = _interval_bin_integrals(service_starts[mask],
                                                     departures[mask], edges)
     if zlog is not None:
-        zt, zi, zdz = zlog
-        for i in range(num_types):
-            mask = zi == i
-            ts, cum = zt[mask], np.cumsum(zdz[mask])
+        for i, (ts, cum) in enumerate(in_service_steps(zlog, num_types)):
             if len(ts) == 0:
                 batch_z[:, i] = 0.0
                 continue

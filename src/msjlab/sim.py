@@ -287,11 +287,7 @@ def dump_trajectory(result: SimResult, config: SystemConfig, path,
         z_steps = [_type_step(service_starts, result.departures, result.types, i)
                    for i in range(num_types)]
     else:
-        zt, zi, zdz = zlog
-        z_steps = []
-        for i in range(num_types):
-            mask = zi == i
-            z_steps.append((zt[mask], np.cumsum(zdz[mask])))
+        z_steps = engines.in_service_steps(zlog, num_types)
     t_sorted = ev_t[order]
     x_at = np.stack([_step_at(t, c, t_sorted) for t, c in x_steps], axis=1)
     z_at = np.stack([_step_at(t, c, t_sorted) for t, c in z_steps], axis=1)

@@ -103,12 +103,13 @@ class ResampleSource:
 
     def __init__(self, seed: int):
         self._gen = _role_generator(seed, _ROLE_RESAMPLE)
-        self._buf = np.empty(0)
+        self._buf: list[float] = []
         self._pos = 0
 
     def next_exp(self) -> float:
         if self._pos >= len(self._buf):
-            self._buf = _exponential_from_uniform(self._gen.random(self._BLOCK))
+            self._buf = _exponential_from_uniform(
+                self._gen.random(self._BLOCK)).tolist()
             self._pos = 0
         v = self._buf[self._pos]
         self._pos += 1

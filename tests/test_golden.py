@@ -1,6 +1,7 @@
-"""Golden pins: result digests, sweep CSV bytes and trajectory-dump bytes.
+"""Golden pins: result digests, sweep CSV bytes, ``msjlab run`` JSON bytes
+and trajectory-dump bytes.
 
-A refactor of the engines, ``collect_stats``, the CSV writer or the
+A refactor of the engines, ``collect_stats``, the CSV or JSON writers or the
 trajectory writer must leave every value unchanged; a change that alters
 simulation output on purpose updates them and says why.
 """
@@ -9,10 +10,11 @@ import hashlib
 import io
 
 import pytest
+from click.testing import CliRunner
 
 from msjlab import (ParamSet, PolicyKind, build_job_stream, make_param_set,
                     simulate)
-from msjlab.cli import SweepSpec, run_sweep, write_csv
+from msjlab.cli import SweepSpec, main, run_sweep, write_csv
 
 DIGESTS = {
     ("one", 64): {
@@ -47,6 +49,8 @@ DIGESTS = {
 
 SWEEP_CSV_SHA256 = "4f0e0028425c37e7886a7685686dfdbef5baa996d87919da98efeb20cdf185c0"
 
+RUN_JSON_SHA256 = "1e416160e01ae2a53f1f0ba15394f240912f1339fd7c5954f286888fc6a589b8"
+
 TRAJECTORY_SHA256 = {
     PolicyKind.SNF: "b5b867c97eb8fbb79d89616107c3d13e581f8731887876c7d505fbe30b2c6c98",
     PolicyKind.FCFS: "704ddd3102bdb4b96f32eccdf71293aa05850574fdbb94f2e4acd11cf164f495",
@@ -70,6 +74,13 @@ def test_sweep_csv_bytes():
     buf = io.StringIO()
     write_csv(run_sweep(spec), buf)
     assert _sha256(buf.getvalue().encode()) == SWEEP_CSV_SHA256
+
+
+def test_run_json_bytes():
+    res = CliRunner().invoke(main, ["run", "--param-set", "one", "--n", "64",
+                                    "--policy", "snf", "--jobs", "5000"])
+    assert res.exit_code == 0, res.output
+    assert _sha256(res.output.encode()) == RUN_JSON_SHA256
 
 
 @pytest.mark.parametrize("policy", list(TRAJECTORY_SHA256))
