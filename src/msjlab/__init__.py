@@ -5,11 +5,10 @@ pluggable scheduling policies, closed-form bound evaluation, exact
 small-instance oracles, and coupled-sample-path verification, behind a CLI.
 """
 
-from .model import (AssumptionReport, AssumptionThresholds, ConfigError,
-                    CriticalIndices, DerivedParams, JobTypeSpec, ParamSet,
-                    RegimeTemplate, SystemConfig, check_assumptions,
-                    critical_indices, derive_params, make_param_set,
-                    make_regime_config)
+from .model import (AssumptionReport, ConfigError, CriticalIndices,
+                    DerivedParams, JobTypeSpec, ParamSet, SystemConfig,
+                    check_assumptions, critical_indices, derive_params,
+                    make_param_set)
 from .policies import (AuditResult, PolicyKind, QueueJob, QueueState,
                        Schedule, audit_work_conservation, schedule_fcfs,
                        schedule_modified_fcfs, schedule_snf, schedule_snf_np,
@@ -20,8 +19,8 @@ from .sim import (DOMINANCE_SYSTEMS, SimResult, check_couplings,
 from .stream import JobStream, build_job_stream
 from .stats import (BatchMeansEstimate, batch_means, from_batch_values,
                     mean_waiting_time, queueing_probability, workload)
-from .bounds import (BoundReport, regime_order_trends, evaluate_bounds,
-                     mminf_negative_part, mminf_tail, mminf_tail_linear)
+from .bounds import (BoundReport, evaluate_bounds, mminf_negative_part,
+                     mminf_tail, mminf_tail_linear)
 from .oracle import (CtmcSpec, StationarySolution, ctmc_stationary,
                      ctmc_stationary_auto, erlang_c, mm1_whole_machine,
                      snf_allocation_fn)

@@ -11,13 +11,12 @@ need) are reported absent with a reason instead of raising.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .model import (AssumptionReport, AssumptionThresholds, CriticalIndices,
-                    SystemConfig, check_assumptions, critical_indices,
-                    derive_params)
+from .model import (AssumptionReport, CriticalIndices, SystemConfig,
+                    check_assumptions, critical_indices, derive_params)
 
 
 @dataclass(frozen=True)
@@ -45,74 +44,17 @@ class BoundReport:
     absent: dict
 
     def to_dict(self) -> dict:
-        def enc(name, value):
-            if value is None:
-                return {"absent": self.absent.get(name, "precondition failed")}
-            return value
-
-        return {
-            "workload_lower": enc("workload_lower", self.workload_lower),
-            "workload_upper": enc("workload_upper", self.workload_upper),
-            "fcfs_wait_lower": enc("fcfs_wait_lower", self.fcfs_wait_lower),
-            "fcfs_wait_upper": enc("fcfs_wait_upper", self.fcfs_wait_upper),
-            "universal_lower": enc("universal_lower", self.universal_lower),
-            "snf_upper": enc("snf_upper", self.snf_upper),
-            "snf_general": {str(k): dict(v) for k, v in self.snf_general.items()},
-            "snf_general_mean": enc("snf_general_mean", self.snf_general_mean),
-            "qp_exponent": self.qp_exponent,
-            "delta_prime": self.delta_prime,
-            "assumptions": {
-                "a1_ratio": self.assumptions.a1_ratio,
-                "a2_ratio": self.assumptions.a2_ratio,
-                "a3_ratio": self.assumptions.a3_ratio,
-                "holds": list(self.assumptions.holds),
-            },
-            "indices": {
-                "i_star": self.indices.i_star,
-                "i_star_1": self.indices.i_star_1,
-                "i_star_fallback": self.indices.i_star_fallback,
-                "i_star_1_fallback": self.indices.i_star_1_fallback,
-            },
-        }
-
-    @staticmethod
-    def from_dict(doc: dict) -> "BoundReport":
-        absent = {}
-
-        def dec(name):
-            v = doc[name]
-            if isinstance(v, dict) and "absent" in v:
-                absent[name] = v["absent"]
-                return None
-            return v
-
-        fields = {name: dec(name) for name in (
-            "workload_lower", "workload_upper", "fcfs_wait_lower",
-            "fcfs_wait_upper", "universal_lower", "snf_upper",
-            "snf_general_mean")}
-        a = doc["assumptions"]
-        idx = doc["indices"]
-        return BoundReport(
-            **fields,
-            snf_general={int(k): dict(v) for k, v in doc["snf_general"].items()},
-            qp_exponent=doc["qp_exponent"],
-            delta_prime=doc["delta_prime"],
-            assumptions=AssumptionReport(
-                a1_ratio=a["a1_ratio"], a2_ratio=a["a2_ratio"],
-                a3_ratio=a["a3_ratio"], holds=tuple(a["holds"])),
-            indices=CriticalIndices(
-                i_star=idx["i_star"], i_star_1=idx["i_star_1"],
-                i_star_fallback=idx["i_star_fallback"],
-                i_star_1_fallback=idx["i_star_1_fallback"]),
-            absent=absent,
-        )
+        """JSON-ready form; each None field becomes ``{"absent": reason}``."""
+        doc = asdict(self)
+        absent = doc.pop("absent")
+        return {name: {"absent": absent.get(name, "precondition failed")}
+                if value is None else value for name, value in doc.items()}
 
 
 def evaluate_bounds(
     config: SystemConfig,
     delta_prime: float | None = None,
     epsilon0: float = 0.9,
-    thresholds: AssumptionThresholds = AssumptionThresholds(),
 ) -> BoundReport:
     """Evaluate every closed-form bound at ``config``.
 
@@ -127,7 +69,7 @@ def evaluate_bounds(
     if delta_prime is None:
         delta_prime = float(p.l_max)
     idx = critical_indices(config)
-    assumptions = check_assumptions(config, epsilon0, thresholds)
+    assumptions = check_assumptions(config, epsilon0)
     num = config.num_types
     absent: dict[str, str] = {}
 
@@ -254,24 +196,3 @@ def mminf_tail_linear(config: SystemConfig, c, alpha: float, beta: float,
 def mminf_negative_part(config: SystemConfig, c) -> float:
     """Bound on the expected negative part of the centered weighted count."""
     return math.sqrt(_cmax_scale(config, c))
-
-
-def regime_order_trends(n: int, alpha: float, gamma: float) -> dict:
-    """Leading-order mean-wait trends in the (slack, need)-exponent plane.
-
-    Valid on the closed wedge 0 <= gamma <= alpha <= (1+gamma)/2 with both
-    exponents in [0, 1): gamma == alpha is the constant-order FCFS edge and
-    alpha == (1+gamma)/2 the light-traffic edge (at gamma 0 that corner is
-    the square-root-slack regime of classical many-server systems).  Point
-    values carry unknown constant factors; use them for trend checks only.
-    """
-    if not (0 <= gamma <= alpha < 1 and alpha <= (1 + gamma) / 2):
-        raise ValueError(
-            f"regime violation: need 0 <= gamma <= alpha <= (1+gamma)/2 < 1, "
-            f"got alpha={alpha}, gamma={gamma}")
-    return {
-        "fcfs": float(n) ** (gamma - alpha),
-        "lower": float(n) ** (-alpha),
-        "snf": float(n) ** (-alpha),
-        "exponents": {"fcfs": gamma - alpha, "lower": -alpha, "snf": -alpha},
-    }

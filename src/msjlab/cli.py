@@ -181,8 +181,10 @@ _shared = [
     click.option("--param-set", default="one", show_default=True,
                  help="one | two | path to a config file {n, types:[{lambda,mu,l}]}"),
     click.option("--warmup", default=0.1, show_default=True,
+                 type=click.FloatRange(0, 1, max_open=True),
                  help="fraction of simulated time discarded"),
-    click.option("--batches", default=20, show_default=True),
+    click.option("--batches", default=20, show_default=True,
+                 type=click.IntRange(min=2)),
 ]
 
 
@@ -198,7 +200,8 @@ def shared_options(fn):
 @click.option("--policy", default="fcfs", show_default=True,
               type=click.Choice([p.value for p in PolicyKind]))
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--jobs", type=int, default=200_000, show_default=True)
+@click.option("--jobs", type=click.IntRange(min=1), default=200_000,
+              show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="write the JSON summary here instead of stdout")
 @click.option("--dump-trajectory", type=click.Path(dir_okay=False), default=None,
@@ -242,7 +245,8 @@ def run(param_set, warmup, batches, n, policy, seed, jobs, out, dump_trajectory)
               default=("fcfs", "snf", "snf-np"), show_default=True)
 @click.option("--seed", "seeds", type=int, multiple=True, default=(0,),
               show_default=True)
-@click.option("--jobs", type=int, default=2_000_000, show_default=True)
+@click.option("--jobs", type=click.IntRange(min=1), default=2_000_000,
+              show_default=True)
 @click.option("--workers", type=int, default=1, show_default=True)
 @click.option("--allow-large", is_flag=True,
               help=f"permit n > {LARGE_N} (compute-heavy)")
@@ -255,9 +259,12 @@ def sweep(param_set, warmup, batches, n_list, policies, seeds, jobs, workers,
     if any(n > LARGE_N for n in n_list) and not allow_large:
         raise click.UsageError(
             f"n > {LARGE_N} requires --allow-large (long runtimes)")
-    spec = SweepSpec(param_set=param_set, n_list=tuple(n_list),
-                     policies=tuple(policies), seeds=tuple(seeds), jobs=jobs,
-                     warmup=warmup, batches=batches, workers=workers)
+    try:
+        spec = SweepSpec(param_set=param_set, n_list=tuple(n_list),
+                         policies=tuple(policies), seeds=tuple(seeds), jobs=jobs,
+                         warmup=warmup, batches=batches, workers=workers)
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from exc
     rows = run_sweep(spec)
     meta = f"msjlab sweep generated {time.strftime('%Y-%m-%dT%H:%M:%S')}"
     if out:
@@ -306,7 +313,8 @@ def verify(suite):
 @click.option("--n", type=int, default=64, show_default=True)
 @click.option("--seed", "seeds", type=int, multiple=True, default=(0,),
               show_default=True)
-@click.option("--jobs", type=int, default=100_000, show_default=True)
+@click.option("--jobs", type=click.IntRange(min=1), default=100_000,
+              show_default=True)
 def couple(param_set, warmup, batches, n, seeds, jobs):
     """Coupled-path checks: waiting-time sandwich and infinite-server
     dominance on one shared stream per seed; nonzero exit if any fails."""

@@ -294,6 +294,39 @@ def _interval_bin_integrals(lo, hi, bin_edges):
     return np.array([overlap.sum() for overlap in _bin_overlaps(lo, hi, bin_edges)])
 
 
+def step_function(times, deltas):
+    """Right-continuous step function from change times and jumps.
+
+    Returns the distinct change times in increasing order and the value after
+    all changes at each of them (value 0 before the first).  The sort is
+    stable; ``deltas`` may carry one column per step function sharing the
+    change times.
+    """
+    order = np.argsort(times, kind="stable")
+    t = times[order]
+    values = np.cumsum(deltas[order], axis=0)
+    keep = np.empty(len(t), dtype=bool)
+    keep[:-1] = t[1:] != t[:-1]
+    keep[-1:] = True
+    return t[keep], values[keep]
+
+
+def step_at(t, values, query, side="right"):
+    """Step-function value at each query time: after the changes at that
+    time (side="right") or just before them (side="left")."""
+    padded = np.concatenate((np.zeros((1, *values.shape[1:]), values.dtype), values))
+    return padded[np.searchsorted(t, query, side=side)]
+
+
+def count_steps(lo, hi, types, num_types):
+    """Per-type number of intervals [lo[k], hi[k]) covering each time, as
+    one step function with a column per type."""
+    # int8 jumps keep the sorted copy small; cumsum widens them to int64
+    onehot = (types[:, None] == np.arange(num_types)).astype(np.int8)
+    return step_function(np.concatenate([lo, hi]),
+                         np.concatenate([onehot, -onehot]))
+
+
 def in_service_steps(zlog, num_types):
     """Per type, the in-service count of an SNF ``zlog`` as a step function
     (change times, count after each change)."""
@@ -305,7 +338,8 @@ def in_service_steps(zlog, num_types):
 def collect_stats(*, arrivals, departures, types, needs, mus, n_servers,
                   window, batches, delta_prime,
                   service_starts=None, zlog=None):
-    """Time averages, per-batch integrals and the work-conservation audit.
+    """Per-batch time averages, the peak busy-server count and the
+    work-conservation audit, keyed by their ``SimResult`` field names.
 
     Exactly one of ``service_starts`` (contiguous service) or ``zlog``
     (explicit in-service step log) must be given.  All statistics are over
@@ -342,7 +376,6 @@ def collect_stats(*, arrivals, departures, types, needs, mus, n_servers,
     batch_q = batch_x - batch_z
 
     # merged epoch sweep for total server need, busy servers, audit, P(queueing)
-    x_times = np.concatenate([arrivals, departures])
     x_deltas = np.concatenate([needs_f[types], -needs_f[types]])
     if zlog is None:
         z_times = np.concatenate([service_starts, departures])
@@ -351,19 +384,13 @@ def collect_stats(*, arrivals, departures, types, needs, mus, n_servers,
         zt, zi, zdz = zlog
         z_times = zt
         z_deltas = needs_f[zi] * zdz
-    all_times = np.concatenate([x_times, z_times])
-    all_dx = np.concatenate([x_deltas, np.zeros(len(z_times))])
-    all_dz = np.concatenate([np.zeros(len(x_times)), z_deltas])
-    order = np.argsort(all_times, kind="stable")
-    t_sorted = all_times[order]
-    sx = np.cumsum(all_dx[order])
-    sz = np.cumsum(all_dz[order])
-    keep = np.empty(len(t_sorted), dtype=bool)
-    keep[:-1] = t_sorted[1:] != t_sorted[:-1]
-    keep[-1] = True
-    t_ep = t_sorted[keep]
-    sx = sx[keep]
-    sz = sz[keep]
+    num_x = len(x_deltas)
+    deltas = np.zeros((num_x + len(z_times), 2))
+    deltas[:num_x, 0] = x_deltas
+    deltas[num_x:, 1] = z_deltas
+    t_ep, sums = step_function(
+        np.concatenate([arrivals, departures, z_times]), deltas)
+    sx, sz = sums[:, 0], sums[:, 1]
 
     qmask = sx >= n_servers
     seg_starts = t_ep
@@ -385,14 +412,8 @@ def collect_stats(*, arrivals, departures, types, needs, mus, n_servers,
     return {
         "batch_x": batch_x,
         "batch_z": batch_z,
-        "batch_q": batch_q,
-        "mean_x": batch_x.mean(axis=0),
-        "mean_z": batch_z.mean(axis=0),
-        "mean_q": batch_q.mean(axis=0),
         "batch_workload": batch_workload,
-        "mean_workload": float(batch_workload.mean()),
         "batch_qprob": batch_qprob,
-        "mean_qprob": float(batch_qprob.mean()),
         "audit": audit,
         "max_busy": float(sz.max()) if len(sz) else 0.0,
     }

@@ -1,4 +1,4 @@
-"""System configurations, derived parameters, and scaling-regime generators.
+"""System configurations, derived parameters, and the study parameter sets.
 
 A system is ``n`` identical servers fed by ``I`` Poisson job flows; a type-i
 job holds ``server_need`` servers simultaneously for an Exp(service_rate)
@@ -200,82 +200,14 @@ def make_param_set(which: ParamSet, n: int) -> SystemConfig:
 
 
 @dataclass(frozen=True)
-class RegimeTemplate:
-    """Shape of a scaling-regime config: service rates, relative load split,
-    and per-type needs as fractions of the maximal need (last entry 1)."""
-
-    mu: tuple[float, ...]
-    load_split: tuple[float, ...]
-    need_fractions: tuple[float, ...] = None  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.need_fractions is None:
-            object.__setattr__(self, "need_fractions", (1.0,) * len(self.mu))
-        if not (len(self.mu) == len(self.load_split) == len(self.need_fractions)):
-            raise ConfigError("template fields must have equal length")
-        if any(w <= 0 for w in self.load_split) or any(m <= 0 for m in self.mu):
-            raise ConfigError("template rates and load splits must be positive")
-        if any(f <= 0 or f > 1 for f in self.need_fractions) or self.need_fractions[-1] != 1:
-            raise ConfigError("need_fractions must lie in (0, 1] with last entry 1")
-        if any(a > b for a, b in zip(self.need_fractions, self.need_fractions[1:])):
-            raise ConfigError("need_fractions must be nondecreasing")
-
-
-SINGLE_TYPE_TEMPLATE = RegimeTemplate(mu=(1.0,), load_split=(1.0,))
-
-
-def make_regime_config(
-    n: int, alpha: float, gamma: float, template: RegimeTemplate = SINGLE_TYPE_TEMPLATE
-) -> SystemConfig:
-    """Config with maximal need round(n^gamma) and slack capacity n^alpha.
-
-    Requires gamma < alpha (maximal need below slack capacity, the stable
-    wedge of exponent space).  Arrival rates are back-solved per type from
-    the template's load split, so the realized slack equals n^alpha exactly;
-    only the needs are rounded to integers.
-    """
-    if not (0 <= alpha < 1 and 0 <= gamma < 1):
-        raise ConfigError(f"exponents must lie in [0,1), got alpha={alpha}, gamma={gamma}")
-    if gamma >= alpha:
-        raise ConfigError(f"need gamma < alpha, got gamma={gamma} >= alpha={alpha}")
-    delta_target = n**alpha
-    l_max = max(1, round(n**gamma))
-    needs = [max(1, round(f * l_max)) for f in template.need_fractions]
-    needs[-1] = l_max
-    busy_total = n - delta_target
-    if busy_total <= 0:
-        raise ConfigError(f"no capacity left after slack target {delta_target} at n={n}")
-    wsum = sum(template.load_split)
-    lambdas = [
-        (w / wsum) * busy_total * mu_i / l_i
-        for w, mu_i, l_i in zip(template.load_split, template.mu, needs)
-    ]
-    if any(lam <= 0 for lam in lambdas):
-        raise ConfigError("back-solved arrival rates not all positive")
-    return SystemConfig(
-        n=n,
-        types=tuple(
-            JobTypeSpec(arrival_rate=lam, service_rate=mu, server_need=l)
-            for lam, mu, l in zip(lambdas, template.mu, needs)
-        ),
-    )
-
-
-@dataclass(frozen=True)
-class AssumptionThresholds:
-    """Finite-n proxy thresholds for the two asymptotic regime conditions."""
-
-    heavy_traffic: float = 1.0  # holds iff delta*log(n)/sqrt(sigma2) <= this
-    commonness: float = 1.0     # holds iff the commonness ratio >= this
-
-
-@dataclass(frozen=True)
 class AssumptionReport:
     """Regime-condition ratios and their finite-n verdicts.
 
-    ``a1_ratio``: delta*log(n)/sqrt(sigma2); smaller means heavier traffic.
-    ``a2_ratio``: l_max/delta, compared against epsilon0.
-    ``a3_ratio``: rho_I over sqrt((delta*log n/sqrt(sigma2))*(l_max/n))*log n.
+    ``a1_ratio``: delta*log(n)/sqrt(sigma2); smaller means heavier traffic,
+    and the heavy-traffic condition holds iff it is <= 1.
+    ``a2_ratio``: l_max/delta; holds iff it is <= epsilon0.
+    ``a3_ratio``: rho_I over sqrt((delta*log n/sqrt(sigma2))*(l_max/n))*log n;
+    the commonness condition holds iff it is >= 1.
     """
 
     a1_ratio: float
@@ -284,11 +216,7 @@ class AssumptionReport:
     holds: tuple[bool, bool, bool]
 
 
-def check_assumptions(
-    config: SystemConfig,
-    epsilon0: float = 0.9,
-    thresholds: AssumptionThresholds = AssumptionThresholds(),
-) -> AssumptionReport:
+def check_assumptions(config: SystemConfig, epsilon0: float = 0.9) -> AssumptionReport:
     """Evaluate the three regime conditions as finite-n ratio checks."""
     p = derive_params(config)
     n = config.n
@@ -297,12 +225,8 @@ def check_assumptions(
     a2 = p.l_max / p.delta
     a3_scale = math.sqrt(a1 * p.l_max / n) * logn
     a3 = p.rho[-1] / a3_scale if a3_scale > 0 else math.inf
-    holds = (
-        a1 <= thresholds.heavy_traffic,
-        a2 <= epsilon0,
-        a3 >= thresholds.commonness,
-    )
-    return AssumptionReport(a1_ratio=a1, a2_ratio=a2, a3_ratio=a3, holds=holds)
+    return AssumptionReport(a1_ratio=a1, a2_ratio=a2, a3_ratio=a3,
+                            holds=(a1 <= 1.0, a2 <= epsilon0, a3 >= 1.0))
 
 
 @dataclass(frozen=True)

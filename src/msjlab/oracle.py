@@ -22,7 +22,7 @@ from .policies import snf_allocation
 
 _MAX_STATES = 4_000_000
 TAIL_TOL = 1e-8
-RESIDUAL_TOL = 1e-10
+_CAP_GROWTHS = 6  # truncation boxes ctmc_stationary_auto tries
 
 
 def erlang_c(n: int, lam: float, mu: float) -> dict:
@@ -208,7 +208,6 @@ def default_caps(config: SystemConfig) -> tuple[int, ...]:
 def ctmc_stationary_auto(
     config: SystemConfig,
     allocation: AllocationFn | None = None,
-    max_growth: int = 6,
 ) -> StationarySolution:
     """Solve with default caps, growing them geometrically until the
     truncation-boundary mass is certifiable."""
@@ -217,7 +216,7 @@ def ctmc_stationary_auto(
         allocation = snf_allocation_fn(config)
     cap = default_caps(config)
     sol = None
-    for _ in range(max_growth):
+    for _ in range(_CAP_GROWTHS):
         sol = ctmc_stationary(CtmcSpec(config=config, allocation=allocation, cap=cap))
         if not sol.truncation_limited:
             return sol

@@ -24,35 +24,60 @@ __all__ = [
 class SimResult:
     """Everything a single run produces.
 
-    Per-job arrays cover all jobs in the stream; the scalar statistics,
-    batch integrals and the audit cover the post-warm-up window only.
-    ``batch_*`` rows are time averages over equal spans of the window.
+    Per-job arrays cover all jobs in the stream; the batch integrals and the
+    audit cover the post-warm-up window only.  ``batch_*`` rows are time
+    averages over equal spans of the window; the ``mean_*`` properties
+    average them.
     """
 
     policy: PolicyKind
     n_servers: int
     seed: int
-    num_jobs: int
     warmup_discarded: float
     window: tuple[float, float]
-    batches: int
     waits: np.ndarray
     arrivals: np.ndarray
     departures: np.ndarray
     types: np.ndarray
-    mean_x: np.ndarray
-    mean_z: np.ndarray
-    mean_q: np.ndarray
     batch_x: np.ndarray
     batch_z: np.ndarray
-    batch_q: np.ndarray
-    mean_workload: float
     batch_workload: np.ndarray
-    mean_qprob: float
     batch_qprob: np.ndarray
     audit: AuditResult
     max_busy: float
     event_count: int
+
+    @property
+    def num_jobs(self) -> int:
+        return len(self.arrivals)
+
+    @property
+    def batches(self) -> int:
+        return len(self.batch_x)
+
+    @property
+    def batch_q(self) -> np.ndarray:
+        return self.batch_x - self.batch_z
+
+    @property
+    def mean_x(self) -> np.ndarray:
+        return self.batch_x.mean(axis=0)
+
+    @property
+    def mean_z(self) -> np.ndarray:
+        return self.batch_z.mean(axis=0)
+
+    @property
+    def mean_q(self) -> np.ndarray:
+        return self.batch_q.mean(axis=0)
+
+    @property
+    def mean_workload(self) -> float:
+        return float(self.batch_workload.mean())
+
+    @property
+    def mean_qprob(self) -> float:
+        return float(self.batch_qprob.mean())
 
     def digest(self) -> str:
         """SHA-256 over all result content; equal digests mean bit-identical runs."""
@@ -137,27 +162,14 @@ def simulate(
         policy=policy,
         n_servers=n_sys,
         seed=stream.seed,
-        num_jobs=stream.horizon,
         warmup_discarded=warmup,
         window=(t0, t1),
-        batches=batches,
         waits=waits,
         arrivals=stream.arrival_times,
         departures=deps,
         types=stream.type_idx,
-        mean_x=stats["mean_x"],
-        mean_z=stats["mean_z"],
-        mean_q=stats["mean_q"],
-        batch_x=stats["batch_x"],
-        batch_z=stats["batch_z"],
-        batch_q=stats["batch_q"],
-        mean_workload=stats["mean_workload"],
-        batch_workload=stats["batch_workload"],
-        mean_qprob=stats["mean_qprob"],
-        batch_qprob=stats["batch_qprob"],
-        audit=stats["audit"],
-        max_busy=stats["max_busy"],
         event_count=2 * stream.horizon,
+        **stats,
     )
     if trajectory_path is not None:
         dump_trajectory(result, config, trajectory_path,
@@ -214,25 +226,6 @@ def check_sandwich(results) -> bool:
                 and np.all(original.waits <= upper.waits))
 
 
-def _type_step(arrivals, departures, types, type_index):
-    """Right-continuous job-count step function for one type."""
-    mask = types == type_index
-    times = np.concatenate([arrivals[mask], departures[mask]])
-    deltas = np.concatenate([np.ones(mask.sum()), -np.ones(mask.sum())])
-    order = np.argsort(times, kind="stable")
-    t = times[order]
-    cum = np.cumsum(deltas[order])
-    return t, cum
-
-
-def _step_at(t_sorted, cum, query, side="right"):
-    """Step-function value at each query time: after the changes at that
-    time (side="right") or just before them (side="left")."""
-    idx = np.searchsorted(t_sorted, query, side=side) - 1
-    vals = np.where(idx >= 0, cum[np.maximum(idx, 0)], 0.0)
-    return vals
-
-
 def check_infinite_server_dominance(coupled) -> bool:
     """Pathwise per-type dominance of the infinite-server system.
 
@@ -245,14 +238,14 @@ def check_infinite_server_dominance(coupled) -> bool:
     inf_res, fin_res = coupled
     if len(inf_res.waits) != len(fin_res.waits):
         raise ValueError("coupled results have mismatched job counts")
-    num_types = len(inf_res.mean_x)
-    for i in range(num_types):
-        ti, ci = _type_step(inf_res.arrivals, inf_res.departures, inf_res.types, i)
-        tf, cf = _type_step(fin_res.arrivals, fin_res.departures, fin_res.types, i)
-        epochs = np.union1d(ti, tf)
-        if np.any(_step_at(ti, ci, epochs) > _step_at(tf, cf, epochs)):
-            return False
-    return True
+    num_types = inf_res.batch_x.shape[1]
+    ti, ci = engines.count_steps(inf_res.arrivals, inf_res.departures,
+                                 inf_res.types, num_types)
+    tf, cf = engines.count_steps(fin_res.arrivals, fin_res.departures,
+                                 fin_res.types, num_types)
+    epochs = np.union1d(ti, tf)
+    return not np.any(engines.step_at(ti, ci, epochs)
+                      > engines.step_at(tf, cf, epochs))
 
 
 def check_couplings(config: SystemConfig, stream: JobStream,
@@ -281,16 +274,16 @@ def dump_trajectory(result: SimResult, config: SystemConfig, path,
     ev_job = np.concatenate([np.arange(num), np.arange(num)])
     order = np.lexsort((ev_job, ev_kind, ev_t))
 
-    x_steps = [_type_step(result.arrivals, result.departures, result.types, i)
-               for i in range(num_types)]
-    if zlog is None:
-        z_steps = [_type_step(service_starts, result.departures, result.types, i)
-                   for i in range(num_types)]
-    else:
-        z_steps = engines.in_service_steps(zlog, num_types)
     t_sorted = ev_t[order]
-    x_at = np.stack([_step_at(t, c, t_sorted) for t, c in x_steps], axis=1)
-    z_at = np.stack([_step_at(t, c, t_sorted) for t, c in z_steps], axis=1)
+    x_at = engines.step_at(*engines.count_steps(
+        result.arrivals, result.departures, result.types, num_types), t_sorted)
+    if zlog is None:
+        z_at = engines.step_at(*engines.count_steps(
+            service_starts, result.departures, result.types, num_types), t_sorted)
+    else:
+        z_at = np.stack([engines.step_at(t, c, t_sorted)
+                         for t, c in engines.in_service_steps(zlog, num_types)],
+                        axis=1)
     kind_name = {0: "departure", 1: "arrival"}
     with open(path, "w") as fh:
         fh.write("t\tkind\ttype\tx\tz\n")

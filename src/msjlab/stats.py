@@ -33,17 +33,16 @@ class BatchMeansEstimate:
         return abs(value - self.mean) <= self.half_width
 
 
-def _t_half_width(per_batch: np.ndarray, confidence: float) -> float:
+def _t_half_width(per_batch: np.ndarray) -> float:
     b = len(per_batch)
     if b < 2:
         return float("inf")
     s = per_batch.std(ddof=1)
-    q = sps.t.ppf(0.5 + confidence / 2, df=b - 1)
+    q = sps.t.ppf(0.5 + CONFIDENCE / 2, df=b - 1)
     return float(q * s / np.sqrt(b))
 
 
-def batch_means(samples, batches: int = 20,
-                confidence: float = CONFIDENCE) -> BatchMeansEstimate:
+def batch_means(samples, batches: int = 20) -> BatchMeansEstimate:
     """Estimate from an ordered sample sequence split into contiguous batches.
 
     Batch sizes differ by at most one when the count is not divisible.
@@ -58,18 +57,18 @@ def batch_means(samples, batches: int = 20,
     per_batch = np.array([chunk.mean() for chunk in np.array_split(samples, batches)])
     return BatchMeansEstimate(
         mean=float(samples.mean()),
-        half_width=_t_half_width(per_batch, confidence),
+        half_width=_t_half_width(per_batch),
         batches=batches,
         per_batch=tuple(float(v) for v in per_batch),
     )
 
 
-def from_batch_values(per_batch, confidence: float = CONFIDENCE) -> BatchMeansEstimate:
+def from_batch_values(per_batch) -> BatchMeansEstimate:
     """Estimate from precomputed equal-span batch means (time averages)."""
     per_batch = np.asarray(per_batch, dtype=np.float64)
     return BatchMeansEstimate(
         mean=float(per_batch.mean()),
-        half_width=_t_half_width(per_batch, confidence),
+        half_width=_t_half_width(per_batch),
         batches=len(per_batch),
         per_batch=tuple(float(v) for v in per_batch),
     )

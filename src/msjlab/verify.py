@@ -11,14 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import stats
+from . import engines, stats
 from .bounds import mminf_tail
 from .model import (JobTypeSpec, ParamSet, SystemConfig, derive_params,
                     make_param_set)
 from .oracle import ctmc_stationary_auto, erlang_c
 from .policies import PolicyKind
-from .sim import (_step_at, _type_step, build_job_stream, check_couplings,
-                  simulate)
+from .sim import build_job_stream, check_couplings, simulate
 
 
 @dataclass(frozen=True)
@@ -121,9 +120,11 @@ def _phi_at_arrivals(result, config, c):
     offered = np.array([t.arrival_rate / t.service_rate for t in config.types])
     c = np.asarray(c, dtype=np.float64)
     phi = np.full(len(sample_times), -float(c @ (needs * offered)))
+    t, counts = engines.count_steps(result.arrivals, result.departures,
+                                    result.types, config.num_types)
+    counts = engines.step_at(t, counts, sample_times, side="left")
     for i in range(config.num_types):
-        t, cum = _type_step(result.arrivals, result.departures, result.types, i)
-        phi += c[i] * needs[i] * _step_at(t, cum, sample_times, side="left")
+        phi += c[i] * needs[i] * counts[:, i]
     return phi
 
 

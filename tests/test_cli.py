@@ -74,6 +74,15 @@ class TestRun:
         res = runner.invoke(main, ["run", "--param-set", "one"])
         assert res.exit_code != 0
 
+    @pytest.mark.parametrize("option,value", [
+        ("--batches", "1"), ("--batches", "0"), ("--warmup", "1.5"),
+        ("--jobs", "0")])
+    def test_out_of_range_option_is_usage_error(self, runner, option, value):
+        res = runner.invoke(main, ["run", "--param-set", "one", "--n", "64",
+                                   option, value])
+        assert res.exit_code == 2, res.output
+        assert option in res.output
+
 
 class TestSweep:
     def test_rows_and_determinism(self, runner, tmp_path):
@@ -127,6 +136,11 @@ class TestSweep:
         assert res.exit_code == 0, res.output
         rows = _data_lines(out.read_text())
         assert ",2000," in rows[-1]
+
+    def test_spec_error_is_usage_error(self, runner):
+        res = runner.invoke(main, ["sweep", "--n", "64", "--jobs", "100"])
+        assert res.exit_code == 2, res.output
+        assert "20 * batches" in res.output
 
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="nonempty"):

@@ -1,13 +1,14 @@
-"""Golden pins: result digests, sweep CSV bytes, ``msjlab run`` JSON bytes
-and trajectory-dump bytes.
+"""Golden pins: result digests, sweep CSV bytes, ``msjlab run`` and
+``msjlab bounds`` JSON bytes and trajectory-dump bytes.
 
-A refactor of the engines, ``collect_stats``, the CSV or JSON writers or the
-trajectory writer must leave every value unchanged; a change that alters
-simulation output on purpose updates them and says why.
+A refactor of the engines, ``collect_stats``, the CSV or JSON writers, the
+bound report or the trajectory writer must leave every value unchanged; a
+change that alters output on purpose updates them and says why.
 """
 
 import hashlib
 import io
+import json
 
 import pytest
 from click.testing import CliRunner
@@ -51,6 +52,14 @@ SWEEP_CSV_SHA256 = "4f0e0028425c37e7886a7685686dfdbef5baa996d87919da98efeb20cdf1
 
 RUN_JSON_SHA256 = "1e416160e01ae2a53f1f0ba15394f240912f1339fd7c5954f286888fc6a589b8"
 
+# set one at n=64, and n=10 with needs (1, 8), where snf_upper is absent
+BOUNDS_JSON_SHA256 = {
+    "one-64": "0a035c754e177066e569b791e546aa2767884c5c4e691229b12ae7c17861499e",
+    "absent": "db83ed0d3312e91d95fec58b2f576632cb4c3928c1367080d5cb6986d6d7056c",
+}
+ABSENT_CONFIG = {"n": 10, "types": [{"lambda": 2.0, "mu": 1.0, "l": 1},
+                                    {"lambda": 0.2, "mu": 1.0, "l": 8}]}
+
 TRAJECTORY_SHA256 = {
     PolicyKind.SNF: "b5b867c97eb8fbb79d89616107c3d13e581f8731887876c7d505fbe30b2c6c98",
     PolicyKind.FCFS: "704ddd3102bdb4b96f32eccdf71293aa05850574fdbb94f2e4acd11cf164f495",
@@ -81,6 +90,19 @@ def test_run_json_bytes():
                                     "--policy", "snf", "--jobs", "5000"])
     assert res.exit_code == 0, res.output
     assert _sha256(res.output.encode()) == RUN_JSON_SHA256
+
+
+@pytest.mark.parametrize("case", list(BOUNDS_JSON_SHA256))
+def test_bounds_json_bytes(case, tmp_path):
+    if case == "one-64":
+        args = ["--param-set", "one", "--n", "64"]
+    else:
+        path = tmp_path / "absent.json"
+        path.write_text(json.dumps(ABSENT_CONFIG))
+        args = ["--param-set", str(path)]
+    res = CliRunner().invoke(main, ["bounds", *args])
+    assert res.exit_code == 0, res.output
+    assert _sha256(res.output.encode()) == BOUNDS_JSON_SHA256[case]
 
 
 @pytest.mark.parametrize("policy", list(TRAJECTORY_SHA256))

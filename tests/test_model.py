@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msjlab import (ConfigError, JobTypeSpec, ParamSet, RegimeTemplate,
-                    SystemConfig, check_assumptions, critical_indices,
-                    derive_params, make_param_set, make_regime_config)
+from msjlab import (ConfigError, JobTypeSpec, ParamSet, SystemConfig,
+                    check_assumptions, critical_indices, derive_params,
+                    make_param_set)
 
 
 def test_derive_params_set_one_64(set_one_64):
@@ -80,46 +80,6 @@ class TestMakeParamSet:
     def test_small_n_rejected(self):
         with pytest.raises(ConfigError):
             make_param_set(ParamSet.ONE, 32)
-
-
-class TestMakeRegimeConfig:
-    def test_halfin_whitt_analogue(self):
-        cfg = make_regime_config(256, alpha=0.5, gamma=0.0)
-        assert cfg.server_needs == (1,)
-        p = derive_params(cfg)
-        assert p.delta == pytest.approx(16.0)
-        assert cfg.arrival_rates == pytest.approx((240.0,))
-
-    def test_equal_exponents(self):
-        cfg = make_regime_config(256, alpha=0.5, gamma=0.49)
-        p = derive_params(cfg)
-        assert p.l_max == round(256**0.49)
-        assert p.delta == pytest.approx(16.0)
-
-    def test_gamma_at_least_alpha_rejected(self):
-        with pytest.raises(ConfigError):
-            make_regime_config(256, alpha=0.25, gamma=0.5)
-        with pytest.raises(ConfigError):
-            make_regime_config(256, alpha=0.5, gamma=0.5)
-
-    def test_exponent_range_rejected(self):
-        with pytest.raises(ConfigError):
-            make_regime_config(256, alpha=1.0, gamma=0.5)
-
-    def test_two_type_template(self):
-        tpl = RegimeTemplate(mu=(0.5, 1.0), load_split=(1.0, 2.0),
-                             need_fractions=(0.25, 1.0))
-        cfg = make_regime_config(1024, alpha=0.6, gamma=0.5, template=tpl)
-        p = derive_params(cfg)
-        assert p.l_max == 32
-        assert cfg.server_needs == (8, 32)
-        assert p.delta == pytest.approx(1024**0.6, rel=1e-12)
-
-    @pytest.mark.parametrize("n,alpha,gamma", [
-        (256, 0.5, 0.0), (1024, 0.7, 0.3), (4096, 0.5, 0.25)])
-    def test_delta_recovered_within_one_unit(self, n, alpha, gamma):
-        p = derive_params(make_regime_config(n, alpha, gamma))
-        assert abs(p.delta - n**alpha) <= 1.0
 
 
 class TestAssumptions:
