@@ -20,7 +20,8 @@ import numpy as np
 
 from . import stats
 from .bounds import evaluate_bounds
-from .model import ParamSet, SystemConfig, derive_params, make_param_set
+from .model import (ConfigError, ParamSet, SystemConfig, derive_params,
+                    make_param_set)
 from .policies import PolicyKind
 from .sim import build_job_stream, check_couplings, simulate
 from .verify import SUITES, run_suite
@@ -41,15 +42,20 @@ CSV_COLUMNS = [
 
 def resolve_config(param_set: str, n: int | None) -> SystemConfig:
     """``one``/``two`` build the named study set at n; anything else is a
-    path to a config file ``{n, types: [{lambda, mu, l}]}``."""
-    if param_set.lower() in ("one", "two"):
-        if n is None:
-            raise click.UsageError("--n is required with a named parameter set")
-        return make_param_set(ParamSet(param_set.lower()), n)
-    path = Path(param_set)
-    if not path.exists():
-        raise click.UsageError(f"--param-set {param_set!r} is neither one/two nor a file")
-    return SystemConfig.from_file_dict(json.loads(path.read_text()))
+    path to a config file ``{n, types: [{lambda, mu, l}]}``.  An invalid
+    configuration is a usage error."""
+    try:
+        if param_set.lower() in ("one", "two"):
+            if n is None:
+                raise click.UsageError("--n is required with a named parameter set")
+            return make_param_set(ParamSet(param_set.lower()), n)
+        path = Path(param_set)
+        if not path.exists():
+            raise click.UsageError(
+                f"--param-set {param_set!r} is neither one/two nor a file")
+        return SystemConfig.from_file_dict(json.loads(path.read_text()))
+    except ConfigError as exc:
+        raise click.UsageError(str(exc)) from exc
 
 
 def _fmt(value) -> str:

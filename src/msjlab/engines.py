@@ -17,6 +17,13 @@ yields a plain ``float``/``int``), per-job outputs are written into
 and small per-job state lives in lists.  The arithmetic is the same IEEE
 double arithmetic in the same order, so results are bit-identical to a loop
 over numpy scalars.
+
+Array convention in the statistics layer: 2-D arrays are gathered with
+``np.take(..., axis=0)`` and filtered with ``np.compress(..., axis=0)``,
+which copy the same values much faster than fancy or boolean indexing, and
+a bin integral writes overlaps only into the slice of intervals that can
+meet the bin, then sums the whole zero-padded buffer, so each sum adds the
+same terms in the same order as a pass over every interval.
 """
 
 from __future__ import annotations
@@ -273,25 +280,29 @@ def run_snf_np(stream: JobStream, needs, mus, n_servers: int):
     return np.frombuffer(waits), np.frombuffer(starts), np.frombuffer(departures)
 
 
-def _bin_overlaps(lo, hi, edges):
-    """Per bin [edges[b], edges[b+1]), the overlap length of each interval
-    [lo[k], hi[k]) with it."""
-    for a, b in zip(edges[:-1], edges[1:]):
-        overlap = np.minimum(hi, b) - np.maximum(lo, a)
-        np.clip(overlap, 0.0, None, out=overlap)
-        yield overlap
+def _bin_integrals(lo, hi, edges, values=None):
+    """Per bin [edges[b], edges[b+1]), the summed overlap of the intervals
+    [lo[k], hi[k]) with it, each weighted by values[k] if given.
 
-
-def _segment_bin_integrals(seg_starts, seg_ends, values, bin_edges):
-    """Integral over each bin of the piecewise-constant function that takes
-    value values[j] on segment [seg_starts[j], seg_ends[j])."""
-    return np.array([np.dot(values, overlap)
-                     for overlap in _bin_overlaps(seg_starts, seg_ends, bin_edges)])
-
-
-def _interval_bin_integrals(lo, hi, bin_edges):
-    """Sum over intervals [lo_k, hi_k) of overlap length with each bin."""
-    return np.array([overlap.sum() for overlap in _bin_overlaps(lo, hi, bin_edges)])
+    Intervals before ``first`` (running max of ``hi`` <= a) and from ``last``
+    on (suffix min of ``lo`` >= b) overlap the bin by <= 0, which clips to
+    +0.0, so only [first, last) of the zeroed buffer is written.  The sum or
+    dot still runs over the full buffer: the same terms in the same order as
+    a full-length pass, hence the same bits.
+    """
+    firsts = np.searchsorted(np.maximum.accumulate(hi), edges[:-1], "right")
+    lasts = np.searchsorted(np.minimum.accumulate(lo[::-1])[::-1], edges[1:], "left")
+    overlap = np.zeros(len(lo))
+    out = np.empty(len(edges) - 1)
+    for j, (a, b, first, last) in enumerate(zip(edges[:-1], edges[1:],
+                                                 firsts, lasts)):
+        seg = overlap[first:last]
+        np.minimum(hi[first:last], b, out=seg)
+        seg -= np.maximum(lo[first:last], a)
+        np.clip(seg, 0.0, None, out=seg)
+        out[j] = overlap.sum() if values is None else np.dot(values, overlap)
+        seg[:] = 0.0
+    return out
 
 
 def step_function(times, deltas):
@@ -304,18 +315,18 @@ def step_function(times, deltas):
     """
     order = np.argsort(times, kind="stable")
     t = times[order]
-    values = np.cumsum(deltas[order], axis=0)
+    values = np.cumsum(np.take(deltas, order, axis=0), axis=0)
     keep = np.empty(len(t), dtype=bool)
     keep[:-1] = t[1:] != t[:-1]
     keep[-1:] = True
-    return t[keep], values[keep]
+    return t[keep], np.compress(keep, values, axis=0)
 
 
 def step_at(t, values, query, side="right"):
     """Step-function value at each query time: after the changes at that
     time (side="right") or just before them (side="left")."""
     padded = np.concatenate((np.zeros((1, *values.shape[1:]), values.dtype), values))
-    return padded[np.searchsorted(t, query, side=side)]
+    return np.take(padded, np.searchsorted(t, query, side=side), axis=0)
 
 
 def count_steps(lo, hi, types, num_types):
@@ -358,45 +369,46 @@ def collect_stats(*, arrivals, departures, types, needs, mus, n_servers,
     batch_z = np.empty((batches, num_types))
     for i in range(num_types):
         mask = types == i
-        batch_x[:, i] = _interval_bin_integrals(arrivals[mask], departures[mask], edges)
+        batch_x[:, i] = _bin_integrals(arrivals[mask], departures[mask], edges)
         if zlog is None:
-            batch_z[:, i] = _interval_bin_integrals(service_starts[mask],
-                                                    departures[mask], edges)
+            batch_z[:, i] = _bin_integrals(service_starts[mask], departures[mask],
+                                           edges)
     if zlog is not None:
         for i, (ts, cum) in enumerate(in_service_steps(zlog, num_types)):
             if len(ts) == 0:
                 batch_z[:, i] = 0.0
                 continue
-            seg_starts = ts
             seg_ends = np.append(ts[1:], max(t1, ts[-1]))
-            batch_z[:, i] = _segment_bin_integrals(seg_starts, seg_ends,
-                                                   cum.astype(np.float64), edges)
+            batch_z[:, i] = _bin_integrals(ts, seg_ends, edges,
+                                           cum.astype(np.float64))
     batch_x /= bin_len
     batch_z /= bin_len
     batch_q = batch_x - batch_z
 
-    # merged epoch sweep for total server need, busy servers, audit, P(queueing)
-    x_deltas = np.concatenate([needs_f[types], -needs_f[types]])
+    # merged epoch sweep for total server need, busy servers, audit,
+    # P(queueing); every delta is integer-valued, so the cumulative sums are
+    # exact in any row order and equal times may be listed in any order
+    job_needs = needs_f[types]
+    num = len(job_needs)
     if zlog is None:
-        z_times = np.concatenate([service_starts, departures])
-        z_deltas = x_deltas
+        times = np.concatenate([arrivals, service_starts, departures])
+        deltas = np.zeros((3 * num, 2))
+        deltas[num:2 * num, 1] = job_needs
+        deltas[2 * num:] = -job_needs[:, None]
     else:
         zt, zi, zdz = zlog
-        z_times = zt
-        z_deltas = needs_f[zi] * zdz
-    num_x = len(x_deltas)
-    deltas = np.zeros((num_x + len(z_times), 2))
-    deltas[:num_x, 0] = x_deltas
-    deltas[num_x:, 1] = z_deltas
-    t_ep, sums = step_function(
-        np.concatenate([arrivals, departures, z_times]), deltas)
+        times = np.concatenate([arrivals, departures, zt])
+        deltas = np.zeros((2 * num + len(zt), 2))
+        deltas[num:2 * num, 0] = -job_needs
+        deltas[2 * num:, 1] = needs_f[zi] * zdz
+    deltas[:num, 0] = job_needs
+    t_ep, sums = step_function(times, deltas)
     sx, sz = sums[:, 0], sums[:, 1]
 
     qmask = sx >= n_servers
-    seg_starts = t_ep
     seg_ends = np.append(t_ep[1:], max(t1, t_ep[-1]))
-    batch_qprob = _segment_bin_integrals(seg_starts, seg_ends,
-                                         qmask.astype(np.float64), edges) / bin_len
+    batch_qprob = _bin_integrals(t_ep, seg_ends, edges,
+                                 qmask.astype(np.float64)) / bin_len
 
     in_window = (t_ep >= t0) & (t_ep <= t1)
     slack = sz - np.minimum(sx, n_servers - delta_prime)

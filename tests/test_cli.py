@@ -201,3 +201,23 @@ class TestVerifyAndCouple:
         assert res.output.count("[PASS]") == 6
         for seed in (0, 1, 2):
             assert f"seed={seed})" in res.output
+
+
+class TestConfigErrorIsUsageError:
+    @pytest.mark.parametrize("args", [
+        ["run", "--n", "32"], ["bounds", "--n", "32"],
+        ["sweep", "--n", "32", "--jobs", "1000"], ["couple", "--n", "32"]],
+        ids=["run", "bounds", "sweep", "couple"])
+    def test_named_set_below_min_n(self, runner, args):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2, res.output
+        assert "parameter sets require n >= 64, got 32" in res.output
+
+    def test_invalid_config_file(self, runner, tmp_path):
+        bad = tmp_path / "bad.json"  # needs must be nondecreasing
+        bad.write_text(json.dumps({"n": 8, "types": [
+            {"lambda": 0.1, "mu": 1.0, "l": 4},
+            {"lambda": 0.1, "mu": 1.0, "l": 1}]}))
+        res = runner.invoke(main, ["run", "--param-set", str(bad)])
+        assert res.exit_code == 2, res.output
+        assert "server needs must be nondecreasing" in res.output

@@ -1,9 +1,12 @@
 """The step-function builder and lookup shared by the statistics, the
-coupling checkers, the trajectory writer and the verify suites."""
+coupling checkers, the trajectory writer and the verify suites, and the
+bin-integral helper behind the batch statistics."""
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from msjlab.engines import count_steps, step_at, step_function
+from msjlab.engines import _bin_integrals, count_steps, step_at, step_function
 
 
 def test_equal_change_times_collapse():
@@ -39,3 +42,109 @@ def test_count_steps_per_type():
                             np.array([0, 1, 0]), 2)
     assert t.tolist() == [0.0, 1.0, 2.0, 3.0]
     assert counts.tolist() == [[1, 0], [2, 1], [0, 1], [0, 0]]
+    assert counts.dtype == np.int64
+
+
+def test_step_at_two_dimensional_shape():
+    t, v = step_function(np.array([1.0, 2.0]),
+                         np.array([[1.0, 0.0, 2.0], [0.0, 1.0, -2.0]]))
+    query = np.array([0.0, 1.5, 2.0, 9.0])
+    out = step_at(t, v, query)
+    assert out.shape == (4, 3)
+    assert out.tolist() == [[0, 0, 0], [1, 0, 2], [1, 1, 0], [1, 1, 0]]
+
+
+# Equal change times (grid points) are common; integer-valued deltas make
+# every cumulative sum exact, so the order of rows with one time is free.
+_change_time = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.5]),
+                         st.floats(0, 3).map(lambda x: x + 0.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_step_function_ignores_row_order_for_integer_deltas(data):
+    num = data.draw(st.integers(0, 40))
+    cols = data.draw(st.integers(1, 3))
+    times = np.array(data.draw(st.lists(_change_time, min_size=num, max_size=num)))
+    deltas = np.array(data.draw(st.lists(
+        st.lists(st.integers(-4, 4), min_size=cols, max_size=cols),
+        min_size=num, max_size=num)), dtype=np.float64).reshape(num, cols)
+    perm = np.array(data.draw(st.permutations(range(num))), dtype=np.int64)
+    t_a, v_a = step_function(times, deltas)
+    t_b, v_b = step_function(times[perm], deltas[perm])
+    assert t_a.tobytes() == t_b.tobytes()
+    assert v_a.tobytes() == v_b.tobytes()
+
+
+def _reference_bin_integrals(lo, hi, edges, values=None):
+    """One full-length overlap pass per bin: the definition the helper
+    must reproduce bit for bit."""
+    out = []
+    for a, b in zip(edges[:-1], edges[1:]):
+        overlap = np.minimum(hi, b) - np.maximum(lo, a)
+        np.clip(overlap, 0.0, None, out=overlap)
+        out.append(overlap.sum() if values is None else np.dot(values, overlap))
+    return np.array(out, dtype=np.float64)
+
+
+def _assert_same_bits(lo, hi, edges, values=None):
+    got = _bin_integrals(lo, hi, edges, values)
+    want = _reference_bin_integrals(lo, hi, edges, values)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+# grid points give ties and zero-length intervals; the range reaches
+# before and after every window below
+_time = st.one_of(st.sampled_from([-1.0, 0.0, 1.0, 2.5, 4.0, 10.0]),
+                  st.floats(-3, 14).map(lambda x: x + 0.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_bin_integrals_match_full_length_reference(data):
+    num = data.draw(st.integers(0, 160))
+    lo = np.array(data.draw(st.lists(_time, min_size=num, max_size=num)))
+    lengths = data.draw(st.lists(
+        st.one_of(st.just(0.0), st.floats(0, 6)), min_size=num, max_size=num))
+    hi = lo + np.array(lengths)
+    if data.draw(st.booleans()):  # batch statistics keep lo sorted
+        order = np.argsort(lo, kind="stable")
+        lo, hi = lo[order], hi[order]
+    t0 = data.draw(st.floats(0, 4))
+    t1 = t0 + data.draw(st.floats(0.5, 8))
+    edges = np.linspace(t0, t1, data.draw(st.integers(1, 8)) + 1)
+    _assert_same_bits(lo, hi, edges)
+    values = np.array(data.draw(st.lists(st.floats(-5, 5), min_size=num,
+                                         max_size=num)))
+    _assert_same_bits(lo, hi, edges, values)
+
+
+def test_bin_integrals_edge_cases():
+    edges = np.linspace(2.0, 4.0, 5)
+    empty = np.array([])
+    _assert_same_bits(empty, empty, edges)
+    _assert_same_bits(empty, empty, edges, empty)
+    assert _bin_integrals(empty, empty, edges).tolist() == [0.0] * 4
+    # wholly before, wholly after, zero length inside, straddling the window
+    lo = np.array([0.0, 5.0, 3.0, 1.0])
+    hi = np.array([1.5, 6.0, 3.0, 4.5])
+    _assert_same_bits(lo, hi, edges)
+    _assert_same_bits(lo, hi, edges, np.array([1.0, 2.0, 3.0, 0.5]))
+    # a reversed second interval lifts the suffix min of lo above the
+    # running max of hi: bins [2.5, 3) and [3, 3.5) get last = 1 < first = 2
+    lo = np.array([2.0, 3.75])
+    hi = np.array([2.25, 2.25])
+    assert _bin_integrals(lo, hi, edges).tolist() == [0.25, 0.0, 0.0, 0.0]
+    _assert_same_bits(lo, hi, edges)
+    _assert_same_bits(lo, hi, edges, np.array([2.0, -1.0]))
+
+
+def test_bin_integrals_large_input():
+    # long enough for blocked pairwise sums and a threaded BLAS dot
+    rng = np.random.default_rng(0)
+    lo = np.sort(rng.uniform(0, 1000, 30_000))
+    hi = lo + rng.exponential(5.0, lo.size)
+    edges = np.linspace(100.0, 1000.0, 21)
+    _assert_same_bits(lo, hi, edges)
+    _assert_same_bits(lo, hi, edges, rng.integers(0, 5, lo.size).astype(float))
