@@ -53,7 +53,11 @@ def resolve_config(param_set: str, n: int | None) -> SystemConfig:
         if not path.exists():
             raise click.UsageError(
                 f"--param-set {param_set!r} is neither one/two nor a file")
-        return SystemConfig.from_file_dict(json.loads(path.read_text()))
+        try:
+            doc = json.loads(path.read_text())
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config file {param_set!r} is not valid JSON: {exc}") from exc
+        return SystemConfig.from_file_dict(doc)
     except ConfigError as exc:
         raise click.UsageError(str(exc)) from exc
 

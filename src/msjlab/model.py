@@ -92,8 +92,12 @@ class SystemConfig:
                 for t in doc["types"]
             )
             return SystemConfig(n=int(doc["n"]), types=types)
+        except ConfigError:
+            raise
         except KeyError as exc:
             raise ConfigError(f"missing config field: {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed config: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -118,8 +122,10 @@ class DerivedParams:
 def derive_params(config: SystemConfig) -> DerivedParams:
     """Compute slack capacity, work variability, loads and subsystem sequences.
 
-    Rejects overloaded systems (slack capacity <= 0): instability under any
-    work-conserving discipline in this model.
+    Rejects overloaded systems (slack capacity delta <= 0).  For multiserver
+    jobs delta > 0 is necessary for stability, not sufficient: servers left
+    idle by packing can make FCFS and SNF unstable at small delta.  Every
+    l_max-work-conserving policy is stable when delta > l_max - 1.
     """
     n = config.n
     busy = 0.0

@@ -5,11 +5,13 @@ The CTMC solver covers any policy whose allocation is a deterministic
 function of the per-type job counts (SNF is; FCFS is not, its state is the
 arrival-ordered job list).  States live in the box prod_i {0..cap_i} with
 reflecting truncation; moments are certified only when the probability mass
-on the truncation boundary is negligible.
+on the truncation boundary is negligible.  One sparse direct solve of the
+balance equations with the empty state's weight pinned to 1 gives pi.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -65,13 +67,8 @@ AllocationFn = Callable[[Sequence[int]], Sequence[int]]
 
 def snf_allocation_fn(config: SystemConfig) -> AllocationFn:
     """Count-determined allocation of the preemptive smallest-need-first policy."""
-    needs = config.server_needs
-    n = config.n
-
-    def alloc(x):
-        return snf_allocation(x, n, needs)
-
-    return alloc
+    n, needs = config.n, config.server_needs
+    return lambda x: snf_allocation(x, n, needs)
 
 
 @dataclass(frozen=True)
@@ -87,6 +84,9 @@ class CtmcSpec:
             raise ValueError("cap length must match the number of types")
         if any(c < 1 for c in self.cap):
             raise ValueError("caps must be >= 1")
+        num_states = math.prod(c + 1 for c in self.cap)
+        if num_states > _MAX_STATES:
+            raise ValueError(f"truncated box has {num_states} states (> {_MAX_STATES})")
 
 
 @dataclass(frozen=True)
@@ -116,15 +116,18 @@ def ctmc_stationary(spec: CtmcSpec) -> StationarySolution:
     """Solve the stationary distribution of the truncated count chain.
 
     Transitions: x -> x+e_i at the type arrival rate (dropped on the
-    boundary), x -> x-e_i at mu_i * z_i with z = allocation(x).  The returned
-    residual is the infinity norm of pi Q for the assembled generator.
+    boundary), x -> x-e_i at mu_i * z_i with z = allocation(x).  The empty
+    state's weight is pinned to 1, the other S-1 balance equations are
+    solved directly and pi is normalised (Stewart, Numerical Solution of
+    Markov Chains, 1994, sec. 2.3).  This requires the empty state to be
+    recurrent under the allocation (every state can drain to empty); when
+    the solve finds the reduced system singular, ValueError is raised.  The
+    residual is the infinity norm of pi Q.
     """
     config = spec.config
     num_types = config.num_types
     dims = tuple(c + 1 for c in spec.cap)
-    num_states = int(np.prod(dims))
-    if num_states > _MAX_STATES:
-        raise ValueError(f"truncated box has {num_states} states (> {_MAX_STATES})")
+    num_states = math.prod(dims)
 
     grid = np.indices(dims).reshape(num_types, num_states).T  # (S, I)
     z = np.empty_like(grid)
@@ -159,13 +162,13 @@ def ctmc_stationary(spec: CtmcSpec) -> StationarySolution:
     diag = -np.asarray(q_offdiag.sum(axis=1)).ravel()
     q_mat = (q_offdiag + sp.diags(diag)).tocsc()
 
-    # pi Q = 0 with sum(pi) = 1: replace one balance equation by normalization
-    a_mat = q_mat.T.tolil()
-    a_mat[-1, :] = 1.0
-    rhs = np.zeros(num_states)
-    rhs[-1] = 1.0
-    pi = spla.spsolve(a_mat.tocsc(), rhs)
-    pi = np.maximum(pi, 0.0)
+    # pi Q = 0 with pi[0] = 1 at the empty state: no dense normalisation row
+    a_mat = q_mat.T.tocsc()
+    rest = spla.spsolve(a_mat[1:, 1:], -a_mat[1:, 0].toarray().ravel())
+    if not np.all(np.isfinite(rest)):
+        raise ValueError("reduced balance system is singular: the empty state is not "
+                         "recurrent under this allocation (the chain must drain to empty)")
+    pi = np.maximum(np.concatenate(([1.0], rest)), 0.0)
     pi /= pi.sum()
     residual = float(np.abs(pi @ q_mat).max())
 
@@ -198,11 +201,8 @@ def ctmc_stationary(spec: CtmcSpec) -> StationarySolution:
 
 def default_caps(config: SystemConfig) -> tuple[int, ...]:
     """Poisson-tail-motivated truncation caps per type."""
-    out = []
-    for t in config.types:
-        offered = t.arrival_rate / t.service_rate
-        out.append(int(np.ceil(offered + 40 * np.sqrt(offered) + 40)))
-    return tuple(out)
+    offered = np.asarray(config.arrival_rates) / np.asarray(config.service_rates)
+    return tuple(int(c) for c in np.ceil(offered + 40 * np.sqrt(offered) + 40))
 
 
 def ctmc_stationary_auto(

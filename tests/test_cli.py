@@ -221,3 +221,16 @@ class TestConfigErrorIsUsageError:
         res = runner.invoke(main, ["run", "--param-set", str(bad)])
         assert res.exit_code == 2, res.output
         assert "server needs must be nondecreasing" in res.output
+
+    @pytest.mark.parametrize("text,message", [
+        ('{"n": 8, "types": [', "not valid JSON"),
+        (json.dumps({"n": 8, "types": [{"lambda": 0.1, "mu": 1.0, "l": "x"}]}),
+         "malformed config"),
+        (json.dumps({"n": 8, "types": 5}), "malformed config"),
+    ], ids=["unparsable", "non-numeric-field", "types-not-a-list"])
+    def test_malformed_config_file(self, runner, tmp_path, text, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        res = runner.invoke(main, ["run", "--param-set", str(bad)])
+        assert res.exit_code == 2, res.output
+        assert message in res.output

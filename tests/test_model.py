@@ -173,3 +173,16 @@ def test_file_dict_round_trip(set_one_64):
     assert set(doc) == {"n", "types"}
     assert set(doc["types"][0]) == {"lambda", "mu", "l"}
     assert SystemConfig.from_file_dict(doc) == set_one_64
+
+
+@pytest.mark.parametrize("doc,match", [
+    ({"types": []}, "missing config field"),
+    ({"n": 8, "types": [{"lambda": 0.1, "mu": 1.0, "l": "x"}]}, "malformed config"),
+    ({"n": "eight", "types": [{"lambda": 0.1, "mu": 1.0, "l": 1}]}, "malformed config"),
+    ({"n": 8, "types": [{"lambda": None, "mu": 1.0, "l": 1}]}, "malformed config"),
+    ([1, 2], "malformed config"),
+    ({"n": 8, "types": [{"lambda": 0.1, "mu": 1.0, "l": 9}]}, "exceeds n=8"),
+])
+def test_config_file_dict_errors_are_config_errors(doc, match):
+    with pytest.raises(ConfigError, match=match):
+        SystemConfig.from_file_dict(doc)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,53 @@ class TestCtmc:
         with pytest.raises(ValueError):
             CtmcSpec(config=two_type, allocation=snf_allocation_fn(two_type),
                      cap=(5,))
+
+    @pytest.mark.filterwarnings("ignore::scipy.sparse.linalg.MatrixRankWarning")
+    def test_empty_state_not_recurrent_rejected(self, two_type):
+        # serving nothing lets jobs pile up at the caps and never drain
+        spec = CtmcSpec(config=two_type, allocation=lambda x: [0, 0], cap=(5, 5))
+        with pytest.raises(ValueError, match="empty state is not recurrent"):
+            ctmc_stationary(spec)
+
+    def test_whole_machine_truncated_geometric(self, whole_machine):
+        # M/M/1 with rho = 0.5 reflected at K: pi_k = rho^k (1-rho)/(1-rho^(K+1))
+        cap = 6
+        sol = ctmc_stationary(CtmcSpec(config=whole_machine, cap=(cap,),
+                                       allocation=snf_allocation_fn(whole_machine)))
+        rho = 0.5
+        k = np.arange(cap + 1)
+        exact = rho**k * (1 - rho) / (1 - rho ** (cap + 1))
+        np.testing.assert_allclose(sol.pi, exact, rtol=0, atol=1e-12)
+
+    def test_box_chain_mean_q_pinned(self):
+        # the three-type SNF box of the benchmark's oracle workload (9,261 states)
+        box = SystemConfig(n=8, types=(JobTypeSpec(1.2, 1.0, 1),
+                                       JobTypeSpec(0.6, 1.0, 2),
+                                       JobTypeSpec(0.25, 1.0, 4)))
+        sol = ctmc_stationary(CtmcSpec(config=box, allocation=snf_allocation_fn(box),
+                                       cap=(20, 20, 20)))
+        np.testing.assert_allclose(
+            sol.mean_q,
+            [6.668514842322892e-06, 0.010607757197807377, 0.16287858074771328],
+            rtol=1e-9)
+        assert sol.residual_inf < 1e-10
+        assert not sol.truncation_limited
+
+    @pytest.mark.parametrize("cap", [(200, 200, 200), (2**22 - 1, 2**21 - 1, 2**21 - 1)],
+                             ids=["8M", "2^64-wraps-int64"])
+    def test_state_count_guard_refuses_before_allocating(self, cap):
+        cfg = SystemConfig(n=8, types=(JobTypeSpec(0.1, 1.0, 1),
+                                       JobTypeSpec(0.1, 1.0, 2),
+                                       JobTypeSpec(0.1, 1.0, 4)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="states"):
+                spec = CtmcSpec(config=cfg, allocation=snf_allocation_fn(cfg), cap=cap)
+                ctmc_stationary(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000  # the 8M-state grid alone would be 192 MB
 
     def test_default_caps_scale_with_offered_load(self, set_one_64):
         caps = default_caps(set_one_64)
