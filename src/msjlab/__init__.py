@@ -20,7 +20,7 @@ from .stream import JobStream, build_job_stream
 from .stats import (BatchMeansEstimate, batch_means, from_batch_values,
                     mean_waiting_time, queueing_probability, workload)
 from .bounds import (BoundReport, evaluate_bounds, mminf_negative_part,
-                     mminf_tail, mminf_tail_linear)
+                     mminf_tail)
 from .oracle import (CtmcSpec, StationarySolution, ctmc_stationary,
                      ctmc_stationary_auto, erlang_c, mm1_whole_machine,
                      snf_allocation_fn)

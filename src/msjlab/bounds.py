@@ -61,19 +61,22 @@ def evaluate_bounds(
     ``delta_prime`` is the work-conservation slack of the policy class the
     workload upper bound applies to; defaults to the maximal server need
     (FCFS, SNF, and both bounding systems are l_max-work-conserving).
+
+    One pass over the subsystem sequence (delta_i, sigma2_i): type i is
+    heavy if i >= i*, intermediate if i >= i*_1, light otherwise.  A heavy
+    type adds its ``universal_lower`` candidate, its ``snf_general`` entry
+    and its term of ``snf_upper``; an intermediate type adds its
+    ``snf_general`` entry and its term of the intermediate sum, so
+    ``snf_general_mean = snf_upper + intermediate terms``.  Both are absent
+    when some heavy subsystem's slack is at most its need.
     """
     p = derive_params(config)
     n = config.n
-    logn = math.log(n)
     lam = p.lambda_total
     if delta_prime is None:
         delta_prime = float(p.l_max)
     idx = critical_indices(config)
-    assumptions = check_assumptions(config, epsilon0)
-    num = config.num_types
     absent: dict[str, str] = {}
-
-    workload_lower = p.sigma2 / p.delta
 
     if delta_prime < p.delta:
         workload_upper = p.sigma2 / (p.delta - delta_prime)
@@ -82,7 +85,6 @@ def evaluate_bounds(
         absent["workload_upper"] = (
             f"delta_prime {delta_prime} >= slack capacity {p.delta}")
 
-    fcfs_wait_lower = p.sigma2 / (n * (p.delta + p.l_max))
     if p.l_max < p.delta:
         fcfs_wait_upper = p.sigma2 / (n * (p.delta - p.l_max))
     else:
@@ -90,69 +92,49 @@ def evaluate_bounds(
         absent["fcfs_wait_upper"] = (
             f"maximal need {p.l_max} >= slack capacity {p.delta}")
 
-    heavy_range = range(idx.i_star, num + 1)  # 1-based
-    universal_lower = max(
-        p.mu_min * p.sub_sigma2[i - 1]
-        / (lam * config.server_needs[i - 1] * p.sub_delta[i - 1])
-        for i in heavy_range
-    )
-
-    snf_terms = []
-    snf_upper = None
-    for i in heavy_range:
-        l_i = config.server_needs[i - 1]
-        gap = p.sub_delta[i - 1] - l_i
-        if gap <= 0:
-            absent["snf_upper"] = (
-                f"subsystem {i}: slack {p.sub_delta[i - 1]} <= need {l_i}")
-            snf_terms = None
-            break
-        snf_terms.append(p.mu_max * p.sub_sigma2[i - 1] / (lam * l_i * gap))
-    if snf_terms is not None:
-        snf_upper = sum(snf_terms)
-
+    universal_candidates = []
     snf_general: dict[int, dict] = {}
-    general_heavy_sum = 0.0
-    general_mid_sum = 0.0
-    general_ok = True
-    for i in range(1, num + 1):
-        l_i = config.server_needs[i - 1]
-        lam_i = config.arrival_rates[i - 1]
-        d_i = p.sub_delta[i - 1]
-        s2_i = p.sub_sigma2[i - 1]
+    heavy_sum = 0.0
+    mid_sum = 0.0
+    for i, (lam_i, l_i, d_i, s2_i) in enumerate(zip(
+            config.arrival_rates, config.server_needs, p.sub_delta,
+            p.sub_sigma2), start=1):
+        # entry at the type's own rate; share of the all-jobs mean at the total
         if i >= idx.i_star:
+            universal_candidates.append(p.mu_min * s2_i / (lam * l_i * d_i))
             gap = d_i - l_i
-            if gap > 0:
-                value = p.mu_max * s2_i / (lam_i * l_i * gap)
-                snf_general[i] = {"regime": "heavy", "value": value}
-                general_heavy_sum += p.mu_max * s2_i / (lam * l_i * gap)
-            else:
-                snf_general[i] = {"regime": "heavy",
-                                  "absent": f"slack {d_i} <= need {l_i}"}
-                general_ok = False
+            if gap <= 0:
+                reason = f"slack {d_i} <= need {l_i}"
+                snf_general[i] = {"regime": "heavy", "absent": reason}
+                absent.setdefault("snf_upper", f"subsystem {i}: {reason}")
+                continue
+            value, share = (p.mu_max * s2_i / (rate * l_i * gap)
+                            for rate in (lam_i, lam))
+            snf_general[i] = {"regime": "heavy", "value": value}
+            heavy_sum += share
         elif i >= idx.i_star_1:
-            value = math.sqrt(s2_i) * logn / (lam_i * l_i)
+            value, share = (math.sqrt(s2_i) * math.log(n) / (rate * l_i)
+                            for rate in (lam_i, lam))
             snf_general[i] = {"regime": "intermediate", "value": value}
-            general_mid_sum += math.sqrt(s2_i) * logn / (lam * l_i)
+            mid_sum += share
         else:
-            snf_general[i] = {"regime": "light",
-                              "exponent": d_i**2 / (n * l_i)}
-    snf_general_mean = (general_heavy_sum + general_mid_sum) if general_ok else None
-    if not general_ok:
+            snf_general[i] = {"regime": "light", "exponent": d_i**2 / (n * l_i)}
+    heavy_ok = "snf_upper" not in absent
+    if not heavy_ok:
         absent["snf_general_mean"] = "a heavy-regime term is absent"
 
     return BoundReport(
-        workload_lower=workload_lower,
+        workload_lower=p.sigma2 / p.delta,
         workload_upper=workload_upper,
-        fcfs_wait_lower=fcfs_wait_lower,
+        fcfs_wait_lower=p.sigma2 / (n * (p.delta + p.l_max)),
         fcfs_wait_upper=fcfs_wait_upper,
-        universal_lower=universal_lower,
-        snf_upper=snf_upper,
+        universal_lower=max(universal_candidates),
+        snf_upper=heavy_sum if heavy_ok else None,
         snf_general=snf_general,
-        snf_general_mean=snf_general_mean,
+        snf_general_mean=heavy_sum + mid_sum if heavy_ok else None,
         qp_exponent=p.delta**2 / (n * p.l_max),
         delta_prime=delta_prime,
-        assumptions=assumptions,
+        assumptions=check_assumptions(config, epsilon0),
         indices=idx,
         absent=absent,
     )
@@ -176,21 +158,7 @@ def mminf_tail(config: SystemConfig, c, big_k: float) -> float:
     """
     if big_k < 0:
         raise ValueError("tail threshold must be nonnegative")
-    scale = _cmax_scale(config, c)
-    return math.exp(-big_k**2 / (2 * scale))
-
-
-def mminf_tail_linear(config: SystemConfig, c, alpha: float, beta: float,
-                      j: float) -> float:
-    """Linear-threshold variant: P(Phi <= -alpha - beta*j) <= exp(-j),
-    valid when alpha*beta covers the variance proxy."""
-    if alpha < 0 or beta < 0 or j < 0:
-        raise ValueError("alpha, beta, j must be nonnegative")
-    scale = _cmax_scale(config, c)
-    if alpha * beta < scale * (1 - 1e-12):  # tolerate round-off at the boundary
-        raise ValueError(
-            f"alpha*beta = {alpha * beta} below variance proxy {scale}")
-    return math.exp(-j)
+    return math.exp(-big_k**2 / (2 * _cmax_scale(config, c)))
 
 
 def mminf_negative_part(config: SystemConfig, c) -> float:

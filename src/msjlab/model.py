@@ -84,20 +84,35 @@ class SystemConfig:
 
     @staticmethod
     def from_file_dict(doc: dict) -> "SystemConfig":
+        """Inverse of :meth:`to_file_dict`.  ``n`` and ``l`` must be JSON
+        integers and the rates JSON numbers (never booleans or strings);
+        nothing is rounded or coerced."""
         try:
             types = tuple(
-                JobTypeSpec(arrival_rate=float(t["lambda"]),
-                            service_rate=float(t["mu"]),
-                            server_need=int(t["l"]))
+                JobTypeSpec(arrival_rate=_json_number(t, "lambda"),
+                            service_rate=_json_number(t, "mu"),
+                            server_need=_json_number(t, "l", integer=True))
                 for t in doc["types"]
             )
-            return SystemConfig(n=int(doc["n"]), types=types)
+            return SystemConfig(n=_json_number(doc, "n", integer=True),
+                                types=types)
         except ConfigError:
             raise
         except KeyError as exc:
             raise ConfigError(f"missing config field: {exc}") from exc
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"malformed config: {exc}") from exc
+
+
+def _json_number(doc: dict, key: str, integer: bool = False):
+    """``doc[key]`` as an int (``integer``) or a float.  Any other JSON
+    value, a bool included, raises ConfigError instead of being coerced."""
+    value = doc[key]
+    kinds = int if integer else (int, float)
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise ConfigError(f"malformed config: {key} must be a JSON "
+                          f"{'integer' if integer else 'number'}, got {value!r}")
+    return value if integer else float(value)
 
 
 @dataclass(frozen=True)

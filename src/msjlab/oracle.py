@@ -18,6 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import breadth_first_order
 
 from .model import SystemConfig, derive_params
 from .policies import snf_allocation
@@ -120,9 +121,10 @@ def ctmc_stationary(spec: CtmcSpec) -> StationarySolution:
     state's weight is pinned to 1, the other S-1 balance equations are
     solved directly and pi is normalised (Stewart, Numerical Solution of
     Markov Chains, 1994, sec. 2.3).  This requires the empty state to be
-    recurrent under the allocation (every state can drain to empty); when
-    the solve finds the reduced system singular, ValueError is raised.  The
-    residual is the infinity norm of pi Q.
+    recurrent under the allocation (every state can drain to empty), which
+    is checked exactly on the transition graph before the solve: otherwise
+    the reduced system is singular and ValueError is raised.  The residual
+    is the infinity norm of pi Q.
     """
     config = spec.config
     num_types = config.num_types
@@ -162,12 +164,15 @@ def ctmc_stationary(spec: CtmcSpec) -> StationarySolution:
     diag = -np.asarray(q_offdiag.sum(axis=1)).ravel()
     q_mat = (q_offdiag + sp.diags(diag)).tocsc()
 
-    # pi Q = 0 with pi[0] = 1 at the empty state: no dense normalisation row
-    a_mat = q_mat.T.tocsc()
-    rest = spla.spsolve(a_mat[1:, 1:], -a_mat[1:, 0].toarray().ravel())
-    if not np.all(np.isfinite(rest)):
+    # pi Q = 0 with pi[0] = 1 at the empty state: no dense normalisation row.
+    # The reduced system is nonsingular iff every state can reach the empty
+    # state, i.e. a search from it on the reversed graph finds them all.
+    reaching = breadth_first_order(q_offdiag.T, 0, return_predecessors=False)
+    if len(reaching) < num_states:
         raise ValueError("reduced balance system is singular: the empty state is not "
                          "recurrent under this allocation (the chain must drain to empty)")
+    a_mat = q_mat.T.tocsc()
+    rest = spla.spsolve(a_mat[1:, 1:], -a_mat[1:, 0].toarray().ravel())
     pi = np.maximum(np.concatenate(([1.0], rest)), 0.0)
     pi /= pi.sum()
     residual = float(np.abs(pi @ q_mat).max())

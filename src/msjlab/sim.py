@@ -103,14 +103,13 @@ def simulate(
     *,
     n_servers: int | None = None,
     batches: int = 20,
-    delta_prime: float | None = None,
     trajectory_path=None,
 ) -> SimResult:
     """Run one system on the given job stream.
 
     ``n_servers`` overrides the config's server count (used by the coupled
-    bounding systems); the Modified-FCFS admission threshold and the audit
-    default delta' stay the config's maximal need either way.
+    bounding systems); the Modified-FCFS admission threshold and the audit's
+    delta' stay the config's maximal need either way.
     """
     policy = PolicyKind(policy)
     params = derive_params(config)
@@ -122,8 +121,6 @@ def simulate(
     if policy is not PolicyKind.INFINITE_SERVER and needs.max() > n_sys:
         raise ValueError(
             f"need {needs.max()} exceeds server count {n_sys}")
-    if delta_prime is None:
-        delta_prime = params.l_max
 
     zlog = None
     if policy is PolicyKind.FCFS:
@@ -154,7 +151,7 @@ def simulate(
         n_servers=qp_n,
         window=(t0, t1),
         batches=batches,
-        delta_prime=delta_prime,
+        delta_prime=params.l_max,
         service_starts=starts,
         zlog=zlog,
     )
@@ -250,12 +247,16 @@ def check_infinite_server_dominance(coupled) -> bool:
 
 def check_couplings(config: SystemConfig, stream: JobStream,
                     warmup: float = 0.1, *, batches: int = 20) -> tuple[bool, bool]:
-    """(sandwich_ok, dominance_ok): both couplings run on one shared stream."""
-    sandwich_ok = check_sandwich(simulate_coupled(
-        sandwich_systems(config), config, stream, warmup, batches=batches))
-    dominance_ok = check_infinite_server_dominance(simulate_coupled(
-        DOMINANCE_SYSTEMS, config, stream, warmup, batches=batches))
-    return sandwich_ok, dominance_ok
+    """(sandwich_ok, dominance_ok): both couplings run on one shared stream.
+
+    FCFS @ n belongs to both couplings and is simulated once.
+    """
+    sandwich = sandwich_systems(config)
+    systems = list(dict.fromkeys([*sandwich, *DOMINANCE_SYSTEMS]))
+    runs = dict(zip(systems, simulate_coupled(systems, config, stream, warmup,
+                                              batches=batches)))
+    return (check_sandwich([runs[s] for s in sandwich]),
+            check_infinite_server_dominance([runs[s] for s in DOMINANCE_SYSTEMS]))
 
 
 def dump_trajectory(result: SimResult, config: SystemConfig, path,

@@ -86,16 +86,15 @@ def _wait_estimate(waits: np.ndarray, batches: int) -> BatchMeansEstimate:
     return batch_means(waits, batches)
 
 
-def mean_waiting_time(result: SimResult, config: SystemConfig,
-                      batches: int | None = None) -> dict:
+def mean_waiting_time(result: SimResult, config: SystemConfig) -> dict:
     """Overall and per-type mean waiting time estimates over post-warm-up jobs.
 
+    Waits are split into as many batches as the run's time-average batches.
     Types with no post-warm-up arrivals are absent from ``per_type`` rather
     than reported as zero.  The overall mean is exactly the arrival-weighted
     average of the per-type means (same data, one grand mean).
     """
-    if batches is None:
-        batches = result.batches
+    batches = result.batches
     t0, _ = result.window
     mask = result.arrivals >= t0
     waits = result.waits[mask]

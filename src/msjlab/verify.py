@@ -12,9 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engines, stats
-from .bounds import mminf_tail
-from .model import (JobTypeSpec, ParamSet, SystemConfig, derive_params,
-                    make_param_set)
+from .bounds import mminf_negative_part, mminf_tail
+from .model import JobTypeSpec, ParamSet, SystemConfig, make_param_set
 from .oracle import ctmc_stationary_auto, erlang_c
 from .policies import PolicyKind
 from .sim import build_job_stream, check_couplings, simulate
@@ -89,10 +88,8 @@ def suite_tails(seed=0, jobs=200_000) -> list[CheckOutcome]:
     """One-sided left-tail bound for the infinite-server system, sampled at
     arrival epochs (Poisson arrivals see time averages)."""
     config = make_param_set(ParamSet.ONE, 64)
-    p = derive_params(config)
     c = tuple(1.0 / t.service_rate for t in config.types)
-    c_max = max(c)
-    scale = math.sqrt(c_max**2 * p.mu_max * p.sigma2)
+    scale = mminf_negative_part(config, c)  # threshold unit K
     stream = build_job_stream(seed, jobs, config)
     r = simulate(PolicyKind.INFINITE_SERVER, config, stream)
     phi = _phi_at_arrivals(r, config, c)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from msjlab import (JobTypeSpec, SystemConfig, check_assumptions,
                     critical_indices, derive_params, evaluate_bounds,
-                    mminf_negative_part, mminf_tail, mminf_tail_linear)
+                    mminf_negative_part, mminf_tail)
 
 from test_model import configs  # reuse the config generator
 
@@ -74,16 +74,6 @@ class TestMminfTail:
         val = mminf_negative_part(set_one_64, (4.0, 2.0, 1.0))
         assert val == pytest.approx(math.sqrt(16 * 1 * 384), rel=1e-12)
         assert val == pytest.approx(78.38, abs=0.01)
-
-    def test_linear_variant(self, set_one_64):
-        scale = 16 * 1 * 384
-        alpha = beta = math.sqrt(scale)
-        assert mminf_tail_linear(set_one_64, (4.0, 2.0, 1.0), alpha, beta,
-                                 3.0) == pytest.approx(math.exp(-3))
-
-    def test_linear_precondition(self, set_one_64):
-        with pytest.raises(ValueError, match="variance proxy"):
-            mminf_tail_linear(set_one_64, (4.0, 2.0, 1.0), 1.0, 1.0, 1.0)
 
     def test_input_validation(self, set_one_64):
         with pytest.raises(ValueError):

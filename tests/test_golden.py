@@ -52,13 +52,30 @@ SWEEP_CSV_SHA256 = "4f0e0028425c37e7886a7685686dfdbef5baa996d87919da98efeb20cdf1
 
 RUN_JSON_SHA256 = "1e416160e01ae2a53f1f0ba15394f240912f1339fd7c5954f286888fc6a589b8"
 
-# set one at n=64, and n=10 with needs (1, 8), where snf_upper is absent
+# set one at n=64; n=10 with needs (1, 8), where snf_upper is absent; and
+# n=10000 with three heavy types (i* = 1), where snf_upper sums three terms
+# (0.4753) or, with type 3 at rate 0.8, is absent at subsystem 3
 BOUNDS_JSON_SHA256 = {
     "one-64": "0a035c754e177066e569b791e546aa2767884c5c4e691229b12ae7c17861499e",
     "absent": "db83ed0d3312e91d95fec58b2f576632cb4c3928c1367080d5cb6986d6d7056c",
+    "multi-heavy": "883f9b812aad4703450c05cacb05ffd293a43e84977116093756065d974ef312",
+    "multi-heavy-absent":
+        "cd51fc21cce15af4a50e1f31387f1c51e2700d854eff0fcafbf4b72cc404b1a0",
 }
-ABSENT_CONFIG = {"n": 10, "types": [{"lambda": 2.0, "mu": 1.0, "l": 1},
-                                    {"lambda": 0.2, "mu": 1.0, "l": 8}]}
+
+
+def _multi_heavy(lam3):
+    return {"n": 10000, "types": [{"lambda": 9991.0, "mu": 1.0, "l": 1},
+                                  {"lambda": 1.0, "mu": 1.0, "l": 2},
+                                  {"lambda": lam3, "mu": 1.0, "l": 4}]}
+
+
+BOUNDS_CONFIGS = {
+    "absent": {"n": 10, "types": [{"lambda": 2.0, "mu": 1.0, "l": 1},
+                                  {"lambda": 0.2, "mu": 1.0, "l": 8}]},
+    "multi-heavy": _multi_heavy(0.5),
+    "multi-heavy-absent": _multi_heavy(0.8),
+}
 
 TRAJECTORY_SHA256 = {
     PolicyKind.SNF: "b5b867c97eb8fbb79d89616107c3d13e581f8731887876c7d505fbe30b2c6c98",
@@ -97,8 +114,8 @@ def test_bounds_json_bytes(case, tmp_path):
     if case == "one-64":
         args = ["--param-set", "one", "--n", "64"]
     else:
-        path = tmp_path / "absent.json"
-        path.write_text(json.dumps(ABSENT_CONFIG))
+        path = tmp_path / f"{case}.json"
+        path.write_text(json.dumps(BOUNDS_CONFIGS[case]))
         args = ["--param-set", str(path)]
     res = CliRunner().invoke(main, ["bounds", *args])
     assert res.exit_code == 0, res.output

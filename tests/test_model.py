@@ -182,6 +182,16 @@ def test_file_dict_round_trip(set_one_64):
     ({"n": 8, "types": [{"lambda": None, "mu": 1.0, "l": 1}]}, "malformed config"),
     ([1, 2], "malformed config"),
     ({"n": 8, "types": [{"lambda": 0.1, "mu": 1.0, "l": 9}]}, "exceeds n=8"),
+    # no silent truncation or coercion: counts are JSON integers, rates numbers
+    ({"n": 8.9, "types": [{"lambda": 0.1, "mu": 1.0, "l": 1}]}, "n must be a JSON integer"),
+    ({"n": 8, "types": [{"lambda": 0.1, "mu": 1.0, "l": 2.7}]}, "l must be a JSON integer"),
+    ({"n": 8.0, "types": [{"lambda": 0.1, "mu": 1.0, "l": 1}]}, "n must be a JSON integer"),
+    ({"n": "8", "types": [{"lambda": 0.1, "mu": 1.0, "l": 1}]}, "n must be a JSON integer"),
+    ({"n": True, "types": [{"lambda": 0.1, "mu": 1.0, "l": 1}]}, "n must be a JSON integer"),
+    ({"n": 8, "types": [{"lambda": 0.1, "mu": 1.0, "l": True}]}, "l must be a JSON integer"),
+    ({"n": 8, "types": [{"lambda": True, "mu": 1.0, "l": 1}]}, "lambda must be a JSON number"),
+    ({"n": 8, "types": [{"lambda": 0.1, "mu": "1", "l": 1}]}, "mu must be a JSON number"),
+    ({"n": 8, "types": [{"lambda": 10**400, "mu": 1.0, "l": 1}]}, "malformed config"),
 ])
 def test_config_file_dict_errors_are_config_errors(doc, match):
     with pytest.raises(ConfigError, match=match):

@@ -95,10 +95,18 @@ class TestCtmc:
             CtmcSpec(config=two_type, allocation=snf_allocation_fn(two_type),
                      cap=(5,))
 
-    @pytest.mark.filterwarnings("ignore::scipy.sparse.linalg.MatrixRankWarning")
     def test_empty_state_not_recurrent_rejected(self, two_type):
         # serving nothing lets jobs pile up at the caps and never drain
         spec = CtmcSpec(config=two_type, allocation=lambda x: [0, 0], cap=(5, 5))
+        with pytest.raises(ValueError, match="empty state is not recurrent"):
+            ctmc_stationary(spec)
+
+    @pytest.mark.parametrize("cap", [(30, 30), (60, 10)])
+    def test_empty_state_not_recurrent_rejected_at_larger_caps(self, two_type, cap):
+        # type 2 is never served: a rounded pivot, not an exact zero, would
+        # let a numerical solve return the absorbing class without an error
+        spec = CtmcSpec(config=two_type, allocation=lambda x: [min(x[0], 6), 0],
+                        cap=cap)
         with pytest.raises(ValueError, match="empty state is not recurrent"):
             ctmc_stationary(spec)
 

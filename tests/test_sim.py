@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from msjlab import (DOMINANCE_SYSTEMS, PolicyKind, audit_work_conservation,
-                    build_job_stream, check_infinite_server_dominance,
-                    check_sandwich, derive_params, erlang_c,
-                    mean_waiting_time, sandwich_systems, simulate,
-                    simulate_coupled)
-from msjlab import stats
+                    build_job_stream, check_couplings,
+                    check_infinite_server_dominance, check_sandwich,
+                    derive_params, erlang_c, mean_waiting_time,
+                    sandwich_systems, simulate, simulate_coupled)
+from msjlab import sim, stats
 
 
 def test_mm2_fcfs_matches_erlang_c(mm2):
@@ -172,29 +172,37 @@ def test_queue_fraction_identity_modified_fcfs(set_one_64):
         assert ratio.contains(t.arrival_rate / p.lambda_total), i
 
 
-def test_trajectory_dump_consistent_with_audit(tmp_path, set_one_64):
-    path = tmp_path / "events.tsv"
-    stream = build_job_stream(4, 5_000, set_one_64)
-    result = simulate(PolicyKind.SNF, set_one_64, stream,
-                      trajectory_path=path)
+def _window_epochs(path, result, config):
+    """(x, z) epochs of a trajectory dump inside the run's audit window,
+    after checking each line's format and feasibility."""
     lines = path.read_text().splitlines()
     assert lines[0] == "t\tkind\ttype\tx\tz"
-    assert len(lines) == 1 + 2 * stream.horizon
-    needs = set_one_64.server_needs
+    assert len(lines) == 1 + 2 * result.num_jobs
+    needs = config.server_needs
     t0, t1 = result.window
     epochs = []
     for line in lines[1:]:
         t_s, kind, type_s, x_s, z_s = line.split("\t")
         assert kind in ("arrival", "departure")
-        assert 0 <= int(type_s) < 3
+        assert 0 <= int(type_s) < config.num_types
         x = tuple(int(v) for v in x_s.split(";"))
         z = tuple(int(v) for v in z_s.split(";"))
         assert all(zi <= xi for zi, xi in zip(z, x))
-        assert sum(l * zi for l, zi in zip(needs, z)) <= set_one_64.n
+        assert sum(l * zi for l, zi in zip(needs, z)) <= config.n
         if t0 <= float(t_s) <= t1:
             epochs.append((x, z))
+    return epochs
+
+
+def test_trajectory_dump_consistent_with_audit(tmp_path, set_one_64):
+    path = tmp_path / "events.tsv"
+    stream = build_job_stream(4, 5_000, set_one_64)
+    result = simulate(PolicyKind.SNF, set_one_64, stream,
+                      trajectory_path=path)
+    epochs = _window_epochs(path, result, set_one_64)
     replay = audit_work_conservation(epochs, set_one_64.n,
-                                     derive_params(set_one_64).l_max, needs)
+                                     derive_params(set_one_64).l_max,
+                                     set_one_64.server_needs)
     assert replay.violations == result.audit.violations == 0
 
 
@@ -206,15 +214,38 @@ def test_snf_np_allows_overtaking_but_not_starvation(two_type):
     assert np.all(np.isfinite(result.waits))
 
 
-def test_custom_delta_prime_audit(set_one_64):
+def test_custom_delta_prime_audit(tmp_path, set_one_64):
     # delta' = 0 demands full work conservation, which head-of-line FCFS
-    # does not provide: blocked-head epochs leave fitting-sized holes idle
+    # does not provide: blocked-head epochs leave fitting-sized holes idle.
+    # The run audits at delta' = l_max; replay its epochs at both slacks.
+    path = tmp_path / "events.tsv"
     stream = build_job_stream(9, 20_000, set_one_64)
-    strict = simulate(PolicyKind.FCFS, set_one_64, stream, delta_prime=0.0)
-    lax = simulate(PolicyKind.FCFS, set_one_64, stream)
-    assert strict.audit.violations > 0
-    assert lax.audit.violations == 0
-    assert strict.audit.worst_slack < lax.audit.worst_slack
+    result = simulate(PolicyKind.FCFS, set_one_64, stream,
+                      trajectory_path=path)
+    epochs = _window_epochs(path, result, set_one_64)
+    n, needs = set_one_64.n, set_one_64.server_needs
+    strict = audit_work_conservation(epochs, n, 0.0, needs)
+    lax = audit_work_conservation(epochs, n, derive_params(set_one_64).l_max,
+                                  needs)
+    assert strict.violations > 0
+    assert lax == result.audit
+    assert lax.violations == 0
+    assert strict.worst_slack < lax.worst_slack
+
+
+def test_check_couplings_simulates_shared_fcfs_once(monkeypatch, set_one_64):
+    # FCFS @ n is in both the sandwich and the dominance pair: 4 runs, not 5
+    real = sim.simulate
+    calls = []
+
+    def counting(policy, *args, **kwargs):
+        calls.append((PolicyKind(policy), kwargs.get("n_servers")))
+        return real(policy, *args, **kwargs)
+
+    monkeypatch.setattr(sim, "simulate", counting)
+    stream = build_job_stream(0, 2_000, set_one_64)
+    assert check_couplings(set_one_64, stream) == (True, True)
+    assert len(calls) == len(set(calls)) == 4
 
 
 def test_event_count_reported(mm2):
