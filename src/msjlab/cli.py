@@ -294,7 +294,10 @@ def sweep(param_set, warmup, batches, n_list, policies, seeds, jobs, workers,
 def bounds(param_set, n, delta_prime, epsilon0, out):
     """Evaluate every closed-form bound at a configuration (JSON)."""
     config = resolve_config(param_set, n)
-    report = evaluate_bounds(config, delta_prime, epsilon0)
+    try:
+        report = evaluate_bounds(config, delta_prime, epsilon0)
+    except ConfigError as exc:
+        raise click.UsageError(str(exc)) from exc
     text = json.dumps(report.to_dict(), indent=2)
     if out:
         Path(out).write_text(text + "\n")

@@ -305,6 +305,15 @@ def _bin_integrals(lo, hi, edges, values=None):
     return out
 
 
+def _step_integrals(t, values, edges):
+    """Per bin, the integral of the step function that is ``values[k]`` on
+    [t[k], t[k+1]) and ``values[-1]`` up to max(edges[-1], t[-1]); 0 if empty."""
+    if len(t) == 0:
+        return np.zeros(len(edges) - 1)
+    ends = np.append(t[1:], max(edges[-1], t[-1]))
+    return _bin_integrals(t, ends, edges, np.asarray(values, dtype=np.float64))
+
+
 def step_function(times, deltas):
     """Right-continuous step function from change times and jumps.
 
@@ -375,12 +384,7 @@ def collect_stats(*, arrivals, departures, types, needs, mus, n_servers,
                                            edges)
     if zlog is not None:
         for i, (ts, cum) in enumerate(in_service_steps(zlog, num_types)):
-            if len(ts) == 0:
-                batch_z[:, i] = 0.0
-                continue
-            seg_ends = np.append(ts[1:], max(t1, ts[-1]))
-            batch_z[:, i] = _bin_integrals(ts, seg_ends, edges,
-                                           cum.astype(np.float64))
+            batch_z[:, i] = _step_integrals(ts, cum, edges)
     batch_x /= bin_len
     batch_z /= bin_len
     batch_q = batch_x - batch_z
@@ -405,10 +409,7 @@ def collect_stats(*, arrivals, departures, types, needs, mus, n_servers,
     t_ep, sums = step_function(times, deltas)
     sx, sz = sums[:, 0], sums[:, 1]
 
-    qmask = sx >= n_servers
-    seg_ends = np.append(t_ep[1:], max(t1, t_ep[-1]))
-    batch_qprob = _bin_integrals(t_ep, seg_ends, edges,
-                                 qmask.astype(np.float64)) / bin_len
+    batch_qprob = _step_integrals(t_ep, sx >= n_servers, edges) / bin_len
 
     in_window = (t_ep >= t0) & (t_ep <= t1)
     slack = sz - np.minimum(sx, n_servers - delta_prime)

@@ -269,6 +269,8 @@ class CriticalIndices:
 def critical_indices(config: SystemConfig) -> CriticalIndices:
     p = derive_params(config)
     n = config.n
+    if n < 2:  # both thresholds divide by log n
+        raise ConfigError(f"the closed-form bounds need n >= 2, got n={n}")
     logn = math.log(n)
     num = config.num_types
     i_star = None

@@ -45,11 +45,15 @@ class SimResult:
     batch_qprob: np.ndarray
     audit: AuditResult
     max_busy: float
-    event_count: int
 
     @property
     def num_jobs(self) -> int:
         return len(self.arrivals)
+
+    @property
+    def event_count(self) -> int:
+        """Arrivals plus departures; SNF preemptions and resumes left out."""
+        return 2 * self.num_jobs
 
     @property
     def batches(self) -> int:
@@ -165,7 +169,6 @@ def simulate(
         arrivals=stream.arrival_times,
         departures=deps,
         types=stream.type_idx,
-        event_count=2 * stream.horizon,
         **stats,
     )
     if trajectory_path is not None:

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
+from scipy.special import stdtrit
 
 from .model import SystemConfig
 from .sim import SimResult
@@ -21,7 +21,10 @@ class BatchMeansEstimate:
     ``mean`` is the grand mean over all data; ``per_batch`` holds the means
     of the contiguous batches the data was split into, and the half-width is
     the Student-t CI computed from their sample variance.  With fewer than
-    two batches the half-width is infinite (no variance information).
+    two batches the half-width is infinite (no variance information), as for
+    a waiting-time estimate over fewer jobs than batches (``batches=1``).
+    When every observation is 0 the estimate is 0.0 +/- 0.0, and
+    ``contains()`` rejects any nonzero reference, however small.
     """
 
     mean: float
@@ -33,13 +36,16 @@ class BatchMeansEstimate:
         return abs(value - self.mean) <= self.half_width
 
 
-def _t_half_width(per_batch: np.ndarray) -> float:
+def _estimate(per_batch: np.ndarray, mean=None) -> BatchMeansEstimate:
+    """Every estimate is built here; ``mean`` defaults to the batches'."""
     b = len(per_batch)
-    if b < 2:
-        return float("inf")
-    s = per_batch.std(ddof=1)
-    q = sps.t.ppf(0.5 + CONFIDENCE / 2, df=b - 1)
-    return float(q * s / np.sqrt(b))
+    half_width = float("inf")
+    if b >= 2:
+        q = stdtrit(b - 1, 0.5 + CONFIDENCE / 2)
+        half_width = float(q * per_batch.std(ddof=1) / np.sqrt(b))
+    mean = per_batch.mean() if mean is None else mean
+    return BatchMeansEstimate(float(mean), half_width, b,
+                              tuple(float(v) for v in per_batch))
 
 
 def batch_means(samples, batches: int = 20) -> BatchMeansEstimate:
@@ -55,34 +61,17 @@ def batch_means(samples, batches: int = 20) -> BatchMeansEstimate:
         raise ValueError(
             f"need at least {batches} samples for {batches} batches, got {len(samples)}")
     per_batch = np.array([chunk.mean() for chunk in np.array_split(samples, batches)])
-    return BatchMeansEstimate(
-        mean=float(samples.mean()),
-        half_width=_t_half_width(per_batch),
-        batches=batches,
-        per_batch=tuple(float(v) for v in per_batch),
-    )
+    return _estimate(per_batch, samples.mean())
 
 
 def from_batch_values(per_batch) -> BatchMeansEstimate:
     """Estimate from precomputed equal-span batch means (time averages)."""
-    per_batch = np.asarray(per_batch, dtype=np.float64)
-    return BatchMeansEstimate(
-        mean=float(per_batch.mean()),
-        half_width=_t_half_width(per_batch),
-        batches=len(per_batch),
-        per_batch=tuple(float(v) for v in per_batch),
-    )
+    return _estimate(np.asarray(per_batch, dtype=np.float64))
 
 
 def _wait_estimate(waits: np.ndarray, batches: int) -> BatchMeansEstimate:
-    # degrade gracefully on tiny samples: point estimate, no CI
-    if len(waits) < max(batches, 2):
-        return BatchMeansEstimate(
-            mean=float(waits.mean()),
-            half_width=float("inf"),
-            batches=1,
-            per_batch=(float(waits.mean()),),
-        )
+    if len(waits) < max(batches, 2):  # tiny sample: point estimate, no CI
+        return _estimate(waits.mean(keepdims=True))
     return batch_means(waits, batches)
 
 

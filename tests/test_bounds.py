@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msjlab import (JobTypeSpec, SystemConfig, check_assumptions,
+from msjlab import (ConfigError, JobTypeSpec, SystemConfig, check_assumptions,
                     critical_indices, derive_params, evaluate_bounds,
                     mminf_negative_part, mminf_tail)
 
@@ -51,6 +51,13 @@ def test_degenerate_single_type_flagged(mm2):
     assert not all(rep.assumptions.holds)
     assert rep.fcfs_wait_upper is None
     assert "fcfs_wait_upper" in rep.absent
+
+
+def test_single_server_rejected():
+    # the critical indices divide by log n, which is 0 at n = 1
+    cfg = SystemConfig(n=1, types=(JobTypeSpec(0.5, 1.0, 1),))
+    with pytest.raises(ConfigError, match="need n >= 2, got n=1"):
+        evaluate_bounds(cfg)
 
 
 def test_workload_upper_absent_when_slack_consumed(mm2):

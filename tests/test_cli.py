@@ -234,3 +234,20 @@ class TestConfigErrorIsUsageError:
         res = runner.invoke(main, ["run", "--param-set", str(bad)])
         assert res.exit_code == 2, res.output
         assert message in res.output
+
+    def test_single_server_bounds(self, runner, tmp_path):
+        one = tmp_path / "one.json"
+        one.write_text(json.dumps({"n": 1, "types": [
+            {"lambda": 0.5, "mu": 1.0, "l": 1}]}))
+        res = runner.invoke(main, ["bounds", "--param-set", str(one)])
+        assert res.exit_code == 2, res.output
+        assert "the closed-form bounds need n >= 2, got n=1" in res.output
+        res = runner.invoke(main, ["run", "--param-set", str(one),
+                                   "--jobs", "2000"])
+        assert res.exit_code == 0, res.output
+        rows = run_sweep(SweepSpec(param_set=str(one), n_list=(1,),
+                                   policies=("fcfs",), seeds=(0,), jobs=400))
+        bounds_row, sim_row = rows
+        assert bounds_row["row_kind"] == "bounds"
+        assert bounds_row["error"].startswith("ConfigError: ")
+        assert "error" not in sim_row

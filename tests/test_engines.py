@@ -6,7 +6,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msjlab.engines import _bin_integrals, count_steps, step_at, step_function
+from msjlab.engines import (_bin_integrals, _step_integrals, count_steps,
+                            step_at, step_function)
 
 
 def test_equal_change_times_collapse():
@@ -148,3 +149,21 @@ def test_bin_integrals_large_input():
     edges = np.linspace(100.0, 1000.0, 21)
     _assert_same_bits(lo, hi, edges)
     _assert_same_bits(lo, hi, edges, rng.integers(0, 5, lo.size).astype(float))
+
+
+def test_step_integrals_empty_log_is_zero():
+    edges = np.linspace(2.0, 4.0, 5)
+    out = _step_integrals(np.array([]), np.array([], dtype=np.int64), edges)
+    assert out.dtype == np.float64 and out.tolist() == [0.0] * 4
+
+
+def test_step_integrals_last_value_holds_to_window_end():
+    edges = np.linspace(0.0, 4.0, 5)
+    # 1 on [0.5, 1.5), 3 from 1.5 on; the last change is before the end
+    t = np.array([0.5, 1.5])
+    assert _step_integrals(t, np.array([1, 3]), edges).tolist() == [
+        0.5, 2.0, 3.0, 3.0]
+    # a last change past the window end: its value never enters a bin
+    t = np.array([0.5, 1.5, 6.0])
+    assert _step_integrals(t, np.array([True, False, True]), edges).tolist() == [
+        0.5, 0.5, 0.0, 0.0]

@@ -1,9 +1,18 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy import stats as sps
+from scipy.special import stdtrit
 
+import msjlab
 from msjlab import (JobTypeSpec, PolicyKind, SystemConfig, batch_means,
                     build_job_stream, erlang_c, from_batch_values,
                     mean_waiting_time, queueing_probability, simulate)
+from msjlab.stats import CONFIDENCE
 
 
 def _exp_samples(seed, size):
@@ -18,6 +27,10 @@ def test_constant_series():
     assert est.half_width == 0.0
     assert est.batches == 20
     assert est.per_batch == (3.25,) * 20
+    # a type that never waits: 0.0 +/- 0.0 rejects any nonzero reference
+    zero = batch_means(np.zeros(400), batches=20)
+    assert (zero.mean, zero.half_width) == (0.0, 0.0)
+    assert zero.contains(0.0) and not zero.contains(1e-20)
 
 
 def test_too_few_samples_rejected():
@@ -25,6 +38,22 @@ def test_too_few_samples_rejected():
         batch_means(np.arange(10), batches=20)
     with pytest.raises(ValueError):
         batch_means(np.arange(100), batches=1)
+
+
+def test_stdtrit_matches_t_ppf_bits():
+    # the half-width quantile comes from the special function behind
+    # scipy.stats.t.ppf, so every confidence interval keeps its bits
+    df = np.arange(1, 10_001)
+    p = 0.5 + CONFIDENCE / 2
+    assert stdtrit(df, p).tobytes() == sps.t.ppf(p, df=df).tobytes()
+
+
+def test_import_does_not_load_scipy_stats():
+    code = "import sys, msjlab, msjlab.cli; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(msjlab.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"
 
 
 def test_mean_is_grand_mean():
@@ -78,8 +107,10 @@ class TestMeanWaitingTime:
     def test_single_job_degenerate(self, mm2):
         result = simulate(PolicyKind.FCFS, mm2, build_job_stream(0, 1, mm2),
                           warmup=0.0)
-        out = mean_waiting_time(result, mm2)
-        assert out["overall"].mean == 0.0
+        est = mean_waiting_time(result, mm2)["overall"]
+        assert est.mean == 0.0
+        assert est.batches == 1 and est.half_width == float("inf")
+        assert est.per_batch == (0.0,)
 
     def test_weighted_identity(self, set_one_64):
         # overall mean == arrival-weighted per-type average, same data
