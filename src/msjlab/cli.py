@@ -43,23 +43,19 @@ CSV_COLUMNS = [
 def resolve_config(param_set: str, n: int | None) -> SystemConfig:
     """``one``/``two`` build the named study set at n; anything else is a
     path to a config file ``{n, types: [{lambda, mu, l}]}``.  An invalid
-    configuration is a usage error."""
+    configuration raises ``ConfigError``."""
+    if param_set.lower() in ("one", "two"):
+        if n is None:
+            raise ConfigError("--n is required with a named parameter set")
+        return make_param_set(ParamSet(param_set.lower()), n)
+    path = Path(param_set)
+    if not path.exists():
+        raise ConfigError(f"--param-set {param_set!r} is neither one/two nor a file")
     try:
-        if param_set.lower() in ("one", "two"):
-            if n is None:
-                raise click.UsageError("--n is required with a named parameter set")
-            return make_param_set(ParamSet(param_set.lower()), n)
-        path = Path(param_set)
-        if not path.exists():
-            raise click.UsageError(
-                f"--param-set {param_set!r} is neither one/two nor a file")
-        try:
-            doc = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {param_set!r} is not valid JSON: {exc}") from exc
-        return SystemConfig.from_file_dict(doc)
-    except ConfigError as exc:
-        raise click.UsageError(str(exc)) from exc
+        doc = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config file {param_set!r} is not valid JSON: {exc}") from exc
+    return SystemConfig.from_file_dict(doc)
 
 
 def _fmt(value) -> str:
@@ -74,13 +70,12 @@ def _fmt(value) -> str:
 
 def _sim_cell(args):
     """One sweep cell; module-level so worker processes can pickle it."""
-    (param_set, config_doc, n, policy, seed, jobs, warmup, batches) = args
+    (param_set, config, policy, seed, jobs, warmup, batches) = args
     base = {
-        "row_kind": "sim", "param_set": param_set, "n": n, "policy": policy,
+        "row_kind": "sim", "param_set": param_set, "n": config.n, "policy": policy,
         "seed": seed, "jobs": jobs, "warmup": warmup, "batches": batches,
     }
     try:
-        config = SystemConfig.from_file_dict(config_doc)
         p = derive_params(config)
         stream = build_job_stream(seed, jobs, config)
         result = simulate(PolicyKind(policy), config, stream, warmup,
@@ -145,9 +140,9 @@ class SweepSpec:
 
     def __post_init__(self):
         if not self.n_list or not self.policies or not self.seeds:
-            raise ValueError("n_list, policies and seeds must be nonempty")
+            raise ConfigError("n_list, policies and seeds must be nonempty")
         if self.jobs < 20 * self.batches:
-            raise ValueError(
+            raise ConfigError(
                 f"jobs {self.jobs} below 20 * batches = {20 * self.batches}")
 
 
@@ -157,11 +152,10 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     bounds_rows = []
     for n in spec.n_list:
         config = resolve_config(spec.param_set, n)
-        doc = config.to_file_dict()
         bounds_rows.append(_bounds_row(spec.param_set, config))
         for policy in spec.policies:
             for seed in spec.seeds:
-                cells.append((spec.param_set, doc, config.n, policy, seed,
+                cells.append((spec.param_set, config, policy, seed,
                               spec.jobs, spec.warmup, spec.batches))
     if spec.workers > 1:
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
@@ -182,7 +176,18 @@ def write_csv(rows: list[dict], out, header_meta: str | None = None) -> None:
         out.write(",".join(_fmt(row.get(col)) for col in CSV_COLUMNS) + "\n")
 
 
-@click.group(context_settings={"auto_envvar_prefix": "MSJLAB"})
+class _Main(click.Group):
+    """The command group; a ``ConfigError`` raised under any command is a
+    usage error (exit 2), not a traceback."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ConfigError as exc:
+            raise click.UsageError(str(exc)) from exc
+
+
+@click.group(cls=_Main, context_settings={"auto_envvar_prefix": "MSJLAB"})
 def main():
     """Multiserver-job queueing laboratory."""
 
@@ -212,8 +217,8 @@ def shared_options(fn):
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--jobs", type=click.IntRange(min=1), default=200_000,
               show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False), default=None,
-              help="write the JSON summary here instead of stdout")
+@click.option("--out", type=click.File("w", lazy=False), default="-",
+              help="JSON summary path; - is stdout")
 @click.option("--dump-trajectory", type=click.Path(dir_okay=False), default=None,
               help="write per-event state records here")
 def run(param_set, warmup, batches, n, policy, seed, jobs, out, dump_trajectory):
@@ -240,11 +245,7 @@ def run(param_set, warmup, batches, n, policy, seed, jobs, out, dump_trajectory)
                   "worst_slack": result.audit.worst_slack},
         "digest": result.digest(),
     }
-    text = json.dumps(doc, indent=2)
-    if out:
-        Path(out).write_text(text + "\n")
-    else:
-        click.echo(text)
+    click.echo(json.dumps(doc, indent=2), file=out)
 
 
 @main.command()
@@ -257,11 +258,12 @@ def run(param_set, warmup, batches, n, policy, seed, jobs, out, dump_trajectory)
               show_default=True)
 @click.option("--jobs", type=click.IntRange(min=1), default=2_000_000,
               show_default=True)
-@click.option("--workers", type=int, default=1, show_default=True)
+@click.option("--workers", type=click.IntRange(min=1), default=1,
+              show_default=True)
 @click.option("--allow-large", is_flag=True,
               help=f"permit n > {LARGE_N} (compute-heavy)")
-@click.option("--out", type=click.Path(dir_okay=False), default=None,
-              help="CSV output path (default stdout)")
+@click.option("--out", type=click.File("w", lazy=False), default="-",
+              help="CSV output path; - is stdout")
 def sweep(param_set, warmup, batches, n_list, policies, seeds, jobs, workers,
           allow_large, out):
     """Run the full (n, policy, seed) grid and emit one CSV row per cell
@@ -269,19 +271,12 @@ def sweep(param_set, warmup, batches, n_list, policies, seeds, jobs, workers,
     if any(n > LARGE_N for n in n_list) and not allow_large:
         raise click.UsageError(
             f"n > {LARGE_N} requires --allow-large (long runtimes)")
-    try:
-        spec = SweepSpec(param_set=param_set, n_list=tuple(n_list),
-                         policies=tuple(policies), seeds=tuple(seeds), jobs=jobs,
-                         warmup=warmup, batches=batches, workers=workers)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
+    spec = SweepSpec(param_set=param_set, n_list=tuple(n_list),
+                     policies=tuple(policies), seeds=tuple(seeds), jobs=jobs,
+                     warmup=warmup, batches=batches, workers=workers)
     rows = run_sweep(spec)
     meta = f"msjlab sweep generated {time.strftime('%Y-%m-%dT%H:%M:%S')}"
-    if out:
-        with open(out, "w") as fh:
-            write_csv(rows, fh, header_meta=meta)
-    else:
-        write_csv(rows, sys.stdout, header_meta=meta)
+    write_csv(rows, out, header_meta=meta)
 
 
 @main.command()
@@ -290,19 +285,12 @@ def sweep(param_set, warmup, batches, n_list, policies, seeds, jobs, workers,
 @click.option("--delta-prime", type=float, default=None,
               help="work-conservation slack (default: maximal need)")
 @click.option("--epsilon0", type=float, default=0.9, show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
+@click.option("--out", type=click.File("w", lazy=False), default="-",
+              help="JSON report path; - is stdout")
 def bounds(param_set, n, delta_prime, epsilon0, out):
     """Evaluate every closed-form bound at a configuration (JSON)."""
-    config = resolve_config(param_set, n)
-    try:
-        report = evaluate_bounds(config, delta_prime, epsilon0)
-    except ConfigError as exc:
-        raise click.UsageError(str(exc)) from exc
-    text = json.dumps(report.to_dict(), indent=2)
-    if out:
-        Path(out).write_text(text + "\n")
-    else:
-        click.echo(text)
+    report = evaluate_bounds(resolve_config(param_set, n), delta_prime, epsilon0)
+    click.echo(json.dumps(report.to_dict(), indent=2), file=out)
 
 
 @main.command()

@@ -356,10 +356,10 @@ def in_service_steps(zlog, num_types):
 
 
 def collect_stats(*, arrivals, departures, types, needs, mus, n_servers,
-                  window, batches, delta_prime,
-                  service_starts=None, zlog=None):
+                  window, batches, service_starts=None, zlog=None):
     """Per-batch time averages, the peak busy-server count and the
-    work-conservation audit, keyed by their ``SimResult`` field names.
+    work-conservation audit at delta' = l_max = max(needs), keyed by their
+    ``SimResult`` field names.
 
     Exactly one of ``service_starts`` (contiguous service) or ``zlog``
     (explicit in-service step log) must be given.  All statistics are over
@@ -412,7 +412,7 @@ def collect_stats(*, arrivals, departures, types, needs, mus, n_servers,
     batch_qprob = _step_integrals(t_ep, sx >= n_servers, edges) / bin_len
 
     in_window = (t_ep >= t0) & (t_ep <= t1)
-    slack = sz - np.minimum(sx, n_servers - delta_prime)
+    slack = sz - np.minimum(sx, n_servers - int(max(needs)))
     slack_w = slack[in_window]
     if len(slack_w):
         audit = AuditResult(violations=int((slack_w < 0).sum()),

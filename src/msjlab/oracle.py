@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -63,7 +63,8 @@ def mm1_whole_machine(lam: float, mu: float) -> dict:
     }
 
 
-AllocationFn = Callable[[Sequence[int]], Sequence[int]]
+# (S, I) count vectors in, their (S, I) allocations out
+AllocationFn = Callable[[np.ndarray], np.ndarray]
 
 
 def snf_allocation_fn(config: SystemConfig) -> AllocationFn:
@@ -132,9 +133,7 @@ def ctmc_stationary(spec: CtmcSpec) -> StationarySolution:
     num_states = math.prod(dims)
 
     grid = np.indices(dims).reshape(num_types, num_states).T  # (S, I)
-    z = np.empty_like(grid)
-    for s in range(num_states):
-        z[s] = spec.allocation(grid[s])
+    z = np.asarray(spec.allocation(grid))
     needs = np.asarray(config.server_needs)
     if np.any(z < 0) or np.any(z > grid) or np.any(z @ needs > config.n):
         raise ValueError("allocation infeasible somewhere in the truncated box")
@@ -162,7 +161,7 @@ def ctmc_stationary(spec: CtmcSpec) -> StationarySolution:
     vals = np.concatenate(vals)
     q_offdiag = sp.coo_matrix((vals, (rows, cols)), shape=(num_states, num_states))
     diag = -np.asarray(q_offdiag.sum(axis=1)).ravel()
-    q_mat = (q_offdiag + sp.diags(diag)).tocsc()
+    q_t = (q_offdiag.T + sp.diags(diag)).tocsc()  # Q transposed
 
     # pi Q = 0 with pi[0] = 1 at the empty state: no dense normalisation row.
     # The reduced system is nonsingular iff every state can reach the empty
@@ -171,16 +170,12 @@ def ctmc_stationary(spec: CtmcSpec) -> StationarySolution:
     if len(reaching) < num_states:
         raise ValueError("reduced balance system is singular: the empty state is not "
                          "recurrent under this allocation (the chain must drain to empty)")
-    a_mat = q_mat.T.tocsc()
-    rest = spla.spsolve(a_mat[1:, 1:], -a_mat[1:, 0].toarray().ravel())
+    rest = spla.spsolve(q_t[1:, 1:], -q_t[1:, 0].toarray().ravel())
     pi = np.maximum(np.concatenate(([1.0], rest)), 0.0)
     pi /= pi.sum()
-    residual = float(np.abs(pi @ q_mat).max())
+    residual = float(np.abs(q_t @ pi).max())
 
-    boundary = np.zeros(num_states, dtype=bool)
-    for i in range(num_types):
-        boundary |= grid[:, i] == spec.cap[i]
-    tail_mass = float(pi[boundary].sum())
+    tail_mass = float(pi[(grid == spec.cap).any(axis=1)].sum())
 
     mean_x = pi @ grid
     mean_z = pi @ z

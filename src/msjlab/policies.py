@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
+import numpy as np
+
 
 class PolicyKind(Enum):
     FCFS = "fcfs"
@@ -86,14 +88,16 @@ def schedule_fcfs(state: QueueState, n: int, needs: Sequence[int]) -> Schedule:
     return Schedule(serve=frozenset(serve))
 
 
-def snf_allocation(x: Sequence[int], n: int, needs: Sequence[int]) -> list[int]:
-    """Greedy smallest-need-first packing of the count vector x."""
-    z = []
+def snf_allocation(x: Sequence[int] | np.ndarray, n: int,
+                   needs: Sequence[int]) -> np.ndarray:
+    """Greedy smallest-need-first packing of the count vector x, or of each
+    row of an (S, I) array of count vectors."""
+    x = np.asarray(x)
+    z = np.empty_like(x)
     remaining = n
-    for x_i, l_i in zip(x, needs):
-        z_i = min(x_i, remaining // l_i)
-        z.append(z_i)
-        remaining -= l_i * z_i
+    for i, l_i in enumerate(needs):
+        z[..., i] = np.minimum(x[..., i], remaining // l_i)
+        remaining = remaining - l_i * z[..., i]
     return z
 
 

@@ -155,7 +155,6 @@ def simulate(
         n_servers=qp_n,
         window=(t0, t1),
         batches=batches,
-        delta_prime=params.l_max,
         service_starts=starts,
         zlog=zlog,
     )

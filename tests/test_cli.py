@@ -3,6 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from msjlab import cli
 from msjlab.cli import CSV_COLUMNS, SweepSpec, main, run_sweep
 
 EXPECTED_COLUMNS = [
@@ -235,6 +236,16 @@ class TestConfigErrorIsUsageError:
         assert res.exit_code == 2, res.output
         assert message in res.output
 
+    @pytest.mark.parametrize("command", ["run", "couple"])
+    def test_overloaded_config_file(self, runner, tmp_path, command):
+        over = tmp_path / "over.json"
+        over.write_text(json.dumps({"n": 2, "types": [
+            {"lambda": 3.0, "mu": 1.0, "l": 1}]}))
+        res = runner.invoke(main, [command, "--param-set", str(over),
+                                   "--jobs", "500"])
+        assert res.exit_code == 2, res.output
+        assert "overloaded system: slack capacity -1.0 <= 0" in res.output
+
     def test_single_server_bounds(self, runner, tmp_path):
         one = tmp_path / "one.json"
         one.write_text(json.dumps({"n": 1, "types": [
@@ -251,3 +262,26 @@ class TestConfigErrorIsUsageError:
         assert bounds_row["row_kind"] == "bounds"
         assert bounds_row["error"].startswith("ConfigError: ")
         assert "error" not in sim_row
+
+
+class TestOptionTypes:
+    @pytest.mark.parametrize("args,work", [
+        (["run", "--n", "64", "--jobs", "500"], "simulate"),
+        (["sweep", "--n", "64", "--jobs", "2000"], "run_sweep"),
+        (["bounds", "--n", "64"], "evaluate_bounds")],
+        ids=["run", "sweep", "bounds"])
+    def test_unwritable_out_fails_before_any_work(self, runner, tmp_path,
+                                                  monkeypatch, args, work):
+        calls = []
+        monkeypatch.setattr(cli, work, lambda *a, **k: calls.append(a))
+        res = runner.invoke(main, args + ["--out", str(tmp_path / "missing" / "x")])
+        assert res.exit_code == 2, res.output
+        assert "--out" in res.output
+        assert calls == []
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_is_usage_error(self, runner, workers):
+        res = runner.invoke(main, ["sweep", "--n", "64", "--jobs", "2000",
+                                   "--workers", workers])
+        assert res.exit_code == 2, res.output
+        assert "--workers" in res.output

@@ -6,7 +6,7 @@ import pytest
 from msjlab import (CtmcSpec, JobTypeSpec, PolicyKind, SystemConfig,
                     build_job_stream, ctmc_stationary, ctmc_stationary_auto,
                     erlang_c, mm1_whole_machine, simulate, snf_allocation_fn)
-from msjlab import stats
+from msjlab import oracle, stats
 from msjlab.oracle import default_caps
 
 
@@ -85,7 +85,7 @@ class TestCtmc:
         assert sol.tail_mass_bound > 1e-8
 
     def test_infeasible_allocation_rejected(self, two_type):
-        spec = CtmcSpec(config=two_type, allocation=lambda x: [x[0] + 1, x[1]],
+        spec = CtmcSpec(config=two_type, allocation=lambda x: x + (1, 0),
                         cap=(5, 5))
         with pytest.raises(ValueError, match="infeasible"):
             ctmc_stationary(spec)
@@ -97,7 +97,7 @@ class TestCtmc:
 
     def test_empty_state_not_recurrent_rejected(self, two_type):
         # serving nothing lets jobs pile up at the caps and never drain
-        spec = CtmcSpec(config=two_type, allocation=lambda x: [0, 0], cap=(5, 5))
+        spec = CtmcSpec(config=two_type, allocation=lambda x: 0 * x, cap=(5, 5))
         with pytest.raises(ValueError, match="empty state is not recurrent"):
             ctmc_stationary(spec)
 
@@ -105,7 +105,7 @@ class TestCtmc:
     def test_empty_state_not_recurrent_rejected_at_larger_caps(self, two_type, cap):
         # type 2 is never served: a rounded pivot, not an exact zero, would
         # let a numerical solve return the absorbing class without an error
-        spec = CtmcSpec(config=two_type, allocation=lambda x: [min(x[0], 6), 0],
+        spec = CtmcSpec(config=two_type, allocation=lambda x: np.minimum(x, (6, 0)),
                         cap=cap)
         with pytest.raises(ValueError, match="empty state is not recurrent"):
             ctmc_stationary(spec)
@@ -149,6 +149,28 @@ class TestCtmc:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000  # the 8M-state grid alone would be 192 MB
+
+    @pytest.mark.parametrize("lam,caps,limited", [
+        (0.95, [80, 120, 180, 270, 405], False),
+        (0.999, [81, 122, 183, 275, 413, 620], True)], ids=["grows", "runs-out"])
+    def test_auto_grows_caps_until_certified(self, monkeypatch, lam, caps, limited):
+        # whole-machine M/M/1: heavy load puts mass on the default boundary
+        cfg = SystemConfig(n=4, types=(JobTypeSpec(lam, 1.0, 4),))
+        tried = []
+        solve = oracle.ctmc_stationary
+
+        def recording(spec):
+            tried.append(spec.cap[0])
+            return solve(spec)
+
+        monkeypatch.setattr(oracle, "ctmc_stationary", recording)
+        sol = ctmc_stationary_auto(cfg)
+        assert tried == caps
+        assert sol.cap == (caps[-1],)
+        assert sol.truncation_limited == limited
+        if not limited:
+            assert sol.mean_q[0] == pytest.approx(
+                mm1_whole_machine(lam, 1.0)["mean_queue"], rel=1e-6)
 
     def test_default_caps_scale_with_offered_load(self, set_one_64):
         caps = default_caps(set_one_64)

@@ -56,9 +56,12 @@ class TestSnf:
         assert sched.serve == frozenset()
 
     def test_allocation_examples(self):
-        assert snf_allocation((2, 2), 5, (1, 3)) == [2, 1]
-        assert snf_allocation((0, 2), 4, (1, 3)) == [0, 1]
-        assert snf_allocation((0, 0), 4, (1, 3)) == [0, 0]
+        assert snf_allocation((2, 2), 5, (1, 3)).tolist() == [2, 1]
+        assert snf_allocation((0, 2), 4, (1, 3)).tolist() == [0, 1]
+        assert snf_allocation((0, 0), 4, (1, 3)).tolist() == [0, 0]
+        # each row of an (S, I) array is packed on its own
+        assert snf_allocation([(2, 2), (0, 2), (0, 0)], 4, (1, 3)).tolist() == [
+            [2, 0], [0, 1], [0, 0]]
 
     def test_earliest_arrival_within_type(self):
         st_ = state([(1, False), (1, False), (1, False)], 2)
@@ -167,7 +170,7 @@ def test_snf_depends_on_counts_only(case):
     for j in st_.jobs:
         if j.job_id in sched.serve:
             per_type[j.type_index] += 1
-    assert per_type == snf_allocation(st_.x, n, needs)
+    assert per_type == snf_allocation(st_.x, n, needs).tolist()
     # relabeling job ids leaves the count allocation unchanged
     relabeled = QueueState(
         jobs=tuple(QueueJob(job_id=10 * j.job_id + 7, type_index=j.type_index,
