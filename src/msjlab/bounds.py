@@ -51,16 +51,13 @@ class BoundReport:
                 if value is None else value for name, value in doc.items()}
 
 
-def evaluate_bounds(
-    config: SystemConfig,
-    delta_prime: float | None = None,
-    epsilon0: float = 0.9,
-) -> BoundReport:
+def evaluate_bounds(config: SystemConfig) -> BoundReport:
     """Evaluate every closed-form bound at ``config``.
 
-    ``delta_prime`` is the work-conservation slack of the policy class the
-    workload upper bound applies to; defaults to the maximal server need
-    (FCFS, SNF, and both bounding systems are l_max-work-conserving).
+    The workload upper bound sigma2/(delta - delta') holds for
+    delta'-work-conserving policies; it is evaluated at delta' = l_max,
+    which FCFS, SNF, SNF-NP and both bounding systems satisfy.  So it and
+    the FCFS waiting-time upper bound share one precondition, l_max < delta.
 
     One pass over the subsystem sequence (delta_i, sigma2_i): type i is
     heavy if i >= i*, intermediate if i >= i*_1, light otherwise.  A heavy
@@ -73,22 +70,17 @@ def evaluate_bounds(
     p = derive_params(config)
     n = config.n
     lam = p.lambda_total
-    if delta_prime is None:
-        delta_prime = float(p.l_max)
+    delta_prime = float(p.l_max)
     idx = critical_indices(config)
     absent: dict[str, str] = {}
 
-    if delta_prime < p.delta:
-        workload_upper = p.sigma2 / (p.delta - delta_prime)
-    else:
-        workload_upper = None
-        absent["workload_upper"] = (
-            f"delta_prime {delta_prime} >= slack capacity {p.delta}")
-
     if p.l_max < p.delta:
+        workload_upper = p.sigma2 / (p.delta - delta_prime)
         fcfs_wait_upper = p.sigma2 / (n * (p.delta - p.l_max))
     else:
-        fcfs_wait_upper = None
+        workload_upper = fcfs_wait_upper = None
+        absent["workload_upper"] = (
+            f"delta_prime {delta_prime} >= slack capacity {p.delta}")
         absent["fcfs_wait_upper"] = (
             f"maximal need {p.l_max} >= slack capacity {p.delta}")
 
@@ -134,7 +126,7 @@ def evaluate_bounds(
         snf_general_mean=heavy_sum + mid_sum if heavy_ok else None,
         qp_exponent=p.delta**2 / (n * p.l_max),
         delta_prime=delta_prime,
-        assumptions=check_assumptions(config, epsilon0),
+        assumptions=check_assumptions(config),
         indices=idx,
         absent=absent,
     )

@@ -1,10 +1,5 @@
 """Experiment harness CLI: single runs, parameter sweeps, bound reports,
-invariant suites and coupled-path checks.
-
-Every option can also be set through an environment variable named
-``MSJLAB_<COMMAND>_<OPTION>`` (click's auto-envvar convention), e.g.
-``MSJLAB_SWEEP_JOBS=500000``.
-"""
+invariant suites and coupled-path checks."""
 
 from __future__ import annotations
 
@@ -23,7 +18,7 @@ from .bounds import evaluate_bounds
 from .model import (ConfigError, ParamSet, SystemConfig, derive_params,
                     make_param_set)
 from .policies import PolicyKind
-from .sim import build_job_stream, check_couplings, simulate
+from .sim import BATCHES, WARMUP, build_job_stream, check_couplings, simulate
 from .verify import SUITES, run_suite
 
 LARGE_N = 4096  # larger sweeps are compute-heavy and need an explicit opt-in
@@ -42,8 +37,8 @@ CSV_COLUMNS = [
 
 def resolve_config(param_set: str, n: int | None) -> SystemConfig:
     """``one``/``two`` build the named study set at n; anything else is a
-    path to a config file ``{n, types: [{lambda, mu, l}]}``.  An invalid
-    configuration raises ``ConfigError``."""
+    path to a config file ``{n, types: [{lambda, mu, l}]}`` that fixes n.
+    An invalid or contradicting configuration raises ``ConfigError``."""
     if param_set.lower() in ("one", "two"):
         if n is None:
             raise ConfigError("--n is required with a named parameter set")
@@ -55,7 +50,10 @@ def resolve_config(param_set: str, n: int | None) -> SystemConfig:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {param_set!r} is not valid JSON: {exc}") from exc
-    return SystemConfig.from_file_dict(doc)
+    config = SystemConfig.from_file_dict(doc)
+    if n is not None and n != config.n:
+        raise ConfigError(f"--n {n} contradicts n={config.n} in {param_set!r}")
+    return config
 
 
 def _fmt(value) -> str:
@@ -134,13 +132,15 @@ class SweepSpec:
     policies: tuple[str, ...]
     seeds: tuple[int, ...]
     jobs: int
-    warmup: float = 0.1
-    batches: int = 20
+    warmup: float = WARMUP
+    batches: int = BATCHES
     workers: int = 1
 
     def __post_init__(self):
         if not self.n_list or not self.policies or not self.seeds:
             raise ConfigError("n_list, policies and seeds must be nonempty")
+        if any(len(set(v)) < len(v) for v in (self.n_list, self.policies, self.seeds)):
+            raise ConfigError("n_list, policies and seeds must not repeat a value")
         if self.jobs < 20 * self.batches:
             raise ConfigError(
                 f"jobs {self.jobs} below 20 * batches = {20 * self.batches}")
@@ -187,7 +187,7 @@ class _Main(click.Group):
             raise click.UsageError(str(exc)) from exc
 
 
-@click.group(cls=_Main, context_settings={"auto_envvar_prefix": "MSJLAB"})
+@click.group(cls=_Main)
 def main():
     """Multiserver-job queueing laboratory."""
 
@@ -195,10 +195,10 @@ def main():
 _shared = [
     click.option("--param-set", default="one", show_default=True,
                  help="one | two | path to a config file {n, types:[{lambda,mu,l}]}"),
-    click.option("--warmup", default=0.1, show_default=True,
+    click.option("--warmup", default=WARMUP, show_default=True,
                  type=click.FloatRange(0, 1, max_open=True),
                  help="fraction of simulated time discarded"),
-    click.option("--batches", default=20, show_default=True,
+    click.option("--batches", default=BATCHES, show_default=True,
                  type=click.IntRange(min=2)),
 ]
 
@@ -282,14 +282,11 @@ def sweep(param_set, warmup, batches, n_list, policies, seeds, jobs, workers,
 @main.command()
 @click.option("--param-set", default="one", show_default=True)
 @click.option("--n", type=int, default=None)
-@click.option("--delta-prime", type=float, default=None,
-              help="work-conservation slack (default: maximal need)")
-@click.option("--epsilon0", type=float, default=0.9, show_default=True)
 @click.option("--out", type=click.File("w", lazy=False), default="-",
               help="JSON report path; - is stdout")
-def bounds(param_set, n, delta_prime, epsilon0, out):
+def bounds(param_set, n, out):
     """Evaluate every closed-form bound at a configuration (JSON)."""
-    report = evaluate_bounds(resolve_config(param_set, n), delta_prime, epsilon0)
+    report = evaluate_bounds(resolve_config(param_set, n))
     click.echo(json.dumps(report.to_dict(), indent=2), file=out)
 
 
@@ -311,7 +308,7 @@ def verify(suite):
 
 @main.command()
 @shared_options
-@click.option("--n", type=int, default=64, show_default=True)
+@click.option("--n", type=int, default=None, help="server count (named sets)")
 @click.option("--seed", "seeds", type=int, multiple=True, default=(0,),
               show_default=True)
 @click.option("--jobs", type=click.IntRange(min=1), default=100_000,

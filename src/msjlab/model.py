@@ -220,13 +220,16 @@ def make_param_set(which: ParamSet, n: int) -> SystemConfig:
     )
 
 
+EPSILON0 = 0.9  # the maximal-need condition holds iff l_max/delta <= EPSILON0
+
+
 @dataclass(frozen=True)
 class AssumptionReport:
     """Regime-condition ratios and their finite-n verdicts.
 
     ``a1_ratio``: delta*log(n)/sqrt(sigma2); smaller means heavier traffic,
     and the heavy-traffic condition holds iff it is <= 1.
-    ``a2_ratio``: l_max/delta; holds iff it is <= epsilon0.
+    ``a2_ratio``: l_max/delta; holds iff it is <= ``EPSILON0``.
     ``a3_ratio``: rho_I over sqrt((delta*log n/sqrt(sigma2))*(l_max/n))*log n;
     the commonness condition holds iff it is >= 1.
     """
@@ -237,7 +240,7 @@ class AssumptionReport:
     holds: tuple[bool, bool, bool]
 
 
-def check_assumptions(config: SystemConfig, epsilon0: float = 0.9) -> AssumptionReport:
+def check_assumptions(config: SystemConfig) -> AssumptionReport:
     """Evaluate the three regime conditions as finite-n ratio checks."""
     p = derive_params(config)
     n = config.n
@@ -247,7 +250,7 @@ def check_assumptions(config: SystemConfig, epsilon0: float = 0.9) -> Assumption
     a3_scale = math.sqrt(a1 * p.l_max / n) * logn
     a3 = p.rho[-1] / a3_scale if a3_scale > 0 else math.inf
     return AssumptionReport(a1_ratio=a1, a2_ratio=a2, a3_ratio=a3,
-                            holds=(a1 <= 1.0, a2 <= epsilon0, a3 >= 1.0))
+                            holds=(a1 <= 1.0, a2 <= EPSILON0, a3 >= 1.0))
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,11 @@ from .stream import JobStream, build_job_stream  # re-export for convenience
 __all__ = [
     "SimResult", "simulate", "simulate_coupled", "sandwich_systems",
     "DOMINANCE_SYSTEMS", "check_sandwich", "check_infinite_server_dominance",
-    "check_couplings", "build_job_stream", "JobStream",
+    "check_couplings", "build_job_stream", "JobStream", "WARMUP", "BATCHES",
 ]
+
+WARMUP = 0.1  # default fraction of simulated time discarded as warm-up
+BATCHES = 20  # default number of equal batches for batch-means estimates
 
 
 @dataclass(eq=False)
@@ -103,10 +106,10 @@ def simulate(
     policy: PolicyKind,
     config: SystemConfig,
     stream: JobStream,
-    warmup: float = 0.1,
+    warmup: float = WARMUP,
     *,
     n_servers: int | None = None,
-    batches: int = 20,
+    batches: int = BATCHES,
     trajectory_path=None,
 ) -> SimResult:
     """Run one system on the given job stream.
@@ -180,9 +183,9 @@ def simulate_coupled(
     systems,
     config: SystemConfig,
     stream: JobStream,
-    warmup: float = 0.1,
+    warmup: float = WARMUP,
     *,
-    batches: int = 20,
+    batches: int = BATCHES,
 ) -> list[SimResult]:
     """Run several systems on one shared job stream.
 
@@ -248,7 +251,8 @@ def check_infinite_server_dominance(coupled) -> bool:
 
 
 def check_couplings(config: SystemConfig, stream: JobStream,
-                    warmup: float = 0.1, *, batches: int = 20) -> tuple[bool, bool]:
+                    warmup: float = WARMUP, *,
+                    batches: int = BATCHES) -> tuple[bool, bool]:
     """(sandwich_ok, dominance_ok): both couplings run on one shared stream.
 
     FCFS @ n belongs to both couplings and is simulated once.

@@ -48,7 +48,7 @@ def _estimate(per_batch: np.ndarray, mean=None) -> BatchMeansEstimate:
                               tuple(float(v) for v in per_batch))
 
 
-def batch_means(samples, batches: int = 20) -> BatchMeansEstimate:
+def batch_means(samples, batches: int) -> BatchMeansEstimate:
     """Estimate from an ordered sample sequence split into contiguous batches.
 
     Batch sizes differ by at most one when the count is not divisible.

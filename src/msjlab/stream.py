@@ -51,8 +51,6 @@ class JobStream:
     arrival_times: np.ndarray
     unit_service: np.ndarray
     type_idx: np.ndarray
-    total_rate: float
-    type_probs: np.ndarray
 
     @property
     def horizon(self) -> int:
@@ -87,8 +85,6 @@ def build_job_stream(seed: int, num_jobs: int, config: SystemConfig) -> JobStrea
         arrival_times=arrival_times,
         unit_service=unit_service,
         type_idx=type_idx,
-        total_rate=total,
-        type_probs=probs,
     )
 
 

@@ -15,7 +15,7 @@ from test_model import configs  # reuse the config generator
 class TestEvaluateBoundsSetOne64:
     @pytest.fixture(autouse=True)
     def report(self, set_one_64):
-        self.rep = evaluate_bounds(set_one_64, delta_prime=8.0)
+        self.rep = evaluate_bounds(set_one_64)
 
     def test_workload_bracket(self):
         assert self.rep.workload_lower == pytest.approx(24.0)
@@ -61,7 +61,7 @@ def test_single_server_rejected():
 
 
 def test_workload_upper_absent_when_slack_consumed(mm2):
-    rep = evaluate_bounds(mm2, delta_prime=1.0)
+    rep = evaluate_bounds(mm2)
     assert rep.workload_upper is None
     assert "delta_prime" in rep.absent["workload_upper"]
 
@@ -120,8 +120,13 @@ def test_snf_upper_absent_reason_round_trips():
 @settings(max_examples=150, deadline=None)
 def test_bracket_and_order_consistency(cfg):
     p = derive_params(cfg)
-    rep = evaluate_bounds(cfg)  # delta_prime = l_max
-    if p.l_max < p.delta:
+    rep = evaluate_bounds(cfg)
+    # both upper bounds need l_max < delta: absent together, else bracketing
+    absent = p.l_max >= p.delta
+    assert (rep.workload_upper is None) == (rep.fcfs_wait_upper is None) == absent
+    assert (("workload_upper" in rep.absent)
+            == ("fcfs_wait_upper" in rep.absent) == absent)
+    if not absent:
         assert rep.workload_lower < rep.workload_upper
         assert rep.fcfs_wait_lower < rep.fcfs_wait_upper
     if rep.snf_upper is not None:

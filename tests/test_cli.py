@@ -128,20 +128,19 @@ class TestSweep:
         assert res.exit_code != 0
         assert "--allow-large" in res.output
 
-    def test_env_var_override(self, runner, tmp_path):
-        out = tmp_path / "env.csv"
-        res = runner.invoke(
-            main, ["sweep", "--param-set", "one", "--n", "64", "--policy",
-                   "fcfs", "--out", str(out)],
-            env={"MSJLAB_SWEEP_JOBS": "2000"})
-        assert res.exit_code == 0, res.output
-        rows = _data_lines(out.read_text())
-        assert ",2000," in rows[-1]
-
     def test_spec_error_is_usage_error(self, runner):
         res = runner.invoke(main, ["sweep", "--n", "64", "--jobs", "100"])
         assert res.exit_code == 2, res.output
         assert "20 * batches" in res.output
+
+    @pytest.mark.parametrize("option,value", [
+        ("--n", "64"), ("--policy", "fcfs"), ("--seed", "0")])
+    def test_repeated_value_is_usage_error(self, runner, option, value):
+        args = ["sweep", "--n", "64", "--policy", "fcfs", "--seed", "0",
+                "--jobs", "2000"]
+        res = runner.invoke(main, args + [option, value])
+        assert res.exit_code == 2, res.output
+        assert "must not repeat a value" in res.output
 
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="nonempty"):
@@ -262,6 +261,21 @@ class TestConfigErrorIsUsageError:
         assert bounds_row["row_kind"] == "bounds"
         assert bounds_row["error"].startswith("ConfigError: ")
         assert "error" not in sim_row
+
+
+class TestConfigFileFixesN:
+    @pytest.mark.parametrize("command,extra", [
+        ("run", ["--jobs", "500"]), ("bounds", []),
+        ("sweep", ["--jobs", "2000", "--policy", "fcfs"]),
+        ("couple", ["--jobs", "500"])],
+        ids=["run", "bounds", "sweep", "couple"])
+    def test_contradicting_n(self, runner, config_file, command, extra):
+        args = [command, "--param-set", config_file, *extra]
+        res = runner.invoke(main, args + ["--n", "5"])
+        assert res.exit_code == 2, res.output
+        assert f"--n 5 contradicts n=2 in {config_file!r}" in res.output
+        res = runner.invoke(main, args + ["--n", "2"])
+        assert res.exit_code == 0, res.output
 
 
 class TestOptionTypes:

@@ -84,12 +84,12 @@ class TestMakeParamSet:
 
 class TestAssumptions:
     def test_set_one_64(self, set_one_64):
-        rep = check_assumptions(set_one_64, epsilon0=0.9)
+        rep = check_assumptions(set_one_64)
         assert rep.a2_ratio == pytest.approx(0.5)
         assert rep.holds[1] is True
 
     def test_max_need_equals_slack_fails(self, mm2):
-        rep = check_assumptions(mm2, epsilon0=0.5)
+        rep = check_assumptions(mm2)
         assert rep.a2_ratio == pytest.approx(1.0)
         assert rep.holds[1] is False
 

@@ -34,7 +34,7 @@ def test_interarrival_mean_clt_band(set_one_64):
     # sample mean of Exp(lam) within 3 sigma of 1/lam
     num = 1_000_000
     s = build_job_stream(42, num, set_one_64)
-    lam = s.total_rate
+    lam = sum(set_one_64.arrival_rates)
     gaps = np.diff(np.concatenate([[0.0], s.arrival_times]))
     band = 3 / (lam * math.sqrt(num))
     assert abs(gaps.mean() - 1 / lam) < band
@@ -43,7 +43,9 @@ def test_interarrival_mean_clt_band(set_one_64):
 def test_type_frequencies_clt_band(set_one_64):
     num = 1_000_000
     s = build_job_stream(42, num, set_one_64)
-    for i, p in enumerate(s.type_probs):
+    lam = sum(set_one_64.arrival_rates)
+    for i, lam_i in enumerate(set_one_64.arrival_rates):
+        p = lam_i / lam
         freq = float((s.type_idx == i).mean())
         band = 3 * math.sqrt(p * (1 - p) / num)
         assert abs(freq - p) < band
@@ -80,5 +82,6 @@ def test_resample_source_plain_floats_pinned():
 def test_roles_are_independent_streams(set_one_64):
     # arrival and service draws from the same seed must not be correlated copies
     s = build_job_stream(9, 10000, set_one_64)
-    gaps = np.diff(np.concatenate([[0.0], s.arrival_times])) * s.total_rate
+    lam = sum(set_one_64.arrival_rates)
+    gaps = np.diff(np.concatenate([[0.0], s.arrival_times])) * lam
     assert not np.allclose(gaps, s.unit_service)
