@@ -56,6 +56,14 @@ def resolve_config(param_set: str, n: int | None) -> SystemConfig:
     return config
 
 
+def _require_distinct(**values) -> None:
+    """Raise ``ConfigError`` if a named tuple of run values repeats one: a
+    repeat would simulate the same cell twice."""
+    for name, vals in values.items():
+        if len(set(vals)) < len(vals):
+            raise ConfigError(f"{name} must not repeat a value")
+
+
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -139,8 +147,8 @@ class SweepSpec:
     def __post_init__(self):
         if not self.n_list or not self.policies or not self.seeds:
             raise ConfigError("n_list, policies and seeds must be nonempty")
-        if any(len(set(v)) < len(v) for v in (self.n_list, self.policies, self.seeds)):
-            raise ConfigError("n_list, policies and seeds must not repeat a value")
+        _require_distinct(n_list=self.n_list, policies=self.policies,
+                          seeds=self.seeds)
         if self.jobs < 20 * self.batches:
             raise ConfigError(
                 f"jobs {self.jobs} below 20 * batches = {20 * self.batches}")
@@ -316,6 +324,7 @@ def verify(suite):
 def couple(param_set, warmup, batches, n, seeds, jobs):
     """Coupled-path checks: waiting-time sandwich and infinite-server
     dominance on one shared stream per seed; nonzero exit if any fails."""
+    _require_distinct(seeds=seeds)
     config = resolve_config(param_set, n)
     all_ok = True
     for seed in seeds:

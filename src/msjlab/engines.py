@@ -18,6 +18,18 @@ and small per-job state lives in lists.  The arithmetic is the same IEEE
 double arithmetic in the same order, so results are bit-identical to a loop
 over numpy scalars.
 
+When the SNF loops re-pack: ``run_snf`` keeps ``free``, the servers the
+greedy packing leaves idle, and ``gap``, a lower bound over the waiting types
+j of needs[j] minus the servers left after packing j (inf if none waits).  A
+waiting type has fewer than needs[j] servers left and ``free`` is at most
+that, so an arrival with needs[i] <= free outranks every waiting type and
+starts, lowering each later leftover by needs[i]; a departure with needs[i] <
+gap frees too few servers for any waiting job.  Other events re-pack from
+type 0, which sets both exactly.  ``run_snf_np`` keeps every waiting need
+above ``idle``: an arrival starts if it fits and otherwise only queues, and a
+departure scans the queues only once ``idle`` reaches ``min_wait``, the
+smallest waiting need.
+
 Array convention in the statistics layer: 2-D arrays are gathered with
 ``np.take(..., axis=0)`` and filtered with ``np.compress(..., axis=0)``,
 which copy the same values much faster than fancy or boolean indexing, and
@@ -118,8 +130,8 @@ def run_infinite_server(stream: JobStream, needs, mus):
 def run_snf(stream: JobStream, needs, mus, n_servers: int):
     """Preemptive smallest-need-first event loop.
 
-    The allocation is recomputed from the count vector at every arrival and
-    departure; within a type the earliest-arrived jobs are in service.
+    The allocation is recomputed from the count vector at every event that
+    can change it; within a type the earliest-arrived jobs are in service.
     Preempted jobs re-queue and draw a fresh service clock on resume (role-3
     stream), which is distribution-preserving for exponential service.
 
@@ -137,14 +149,11 @@ def run_snf(stream: JobStream, needs, mus, n_servers: int):
     in_system: list[list[int]] = [[] for _ in range(num_types)]
     x = [0] * num_types
     z = [0] * num_types
-    # rem_before[j]: servers left for types j, j+1, ... by the greedy packing,
-    # which visits types in index order; an event of type i leaves
-    # rem_before[:i + 1] and z[:i] as they were.
-    rem_before = [n_servers] * num_types
+    free = n_servers
+    gap = math.inf
     enq_time = _zeros(num)
     waits = _zeros(num)
     departures = _zeros(num)
-    served_once = [False] * num
     clock_epoch = [0] * num
     heap: list[tuple[float, int, int]] = []
     resample = ResampleSource(stream.seed)
@@ -157,10 +166,10 @@ def run_snf(stream: JobStream, needs, mus, n_servers: int):
     active = 0
     while k_next < num or active > 0:
         t_arr = arrivals[k_next] if k_next < num else math.inf
-        while heap and clock_epoch[heap[0][1]] != heap[0][2]:
-            heappop(heap)
         if heap and heap[0][0] <= t_arr:
-            t, jid, _ = heappop(heap)
+            t, jid, epoch = heappop(heap)
+            if clock_epoch[jid] != epoch:
+                continue
             i = type_of[jid]
             lst = in_system[i]
             lst.pop(bisect_left(lst, jid))
@@ -171,21 +180,40 @@ def run_snf(stream: JobStream, needs, mus, n_servers: int):
             zlog_t.append(t)
             zlog_i.append(i)
             zlog_dz.append(-1)
+            need = needs_l[i]
+            if need < gap:
+                free += need
+                gap -= need
+                continue
         else:
             t = t_arr
             jid = k_next
             i = type_of[jid]
             in_system[i].append(jid)
             x[i] += 1
-            enq_time[jid] = t
             k_next += 1
             active += 1
-        rem = rem_before[i]
-        for j in range(i, num_types):
-            rem_before[j] = rem
-            cap = rem // needs_l[j]
+            need = needs_l[i]
+            if need <= free:
+                z[i] += 1
+                clock_epoch[jid] = 1
+                heappush(heap, (t + unit_service[jid] / mus_l[i], jid, 1))
+                zlog_t.append(t)
+                zlog_i.append(i)
+                zlog_dz.append(1)
+                free -= need
+                gap += need
+                continue
+            enq_time[jid] = t
+        rem = n_servers
+        gap = math.inf
+        for j in range(num_types):
+            need = needs_l[j]
+            cap = rem // need
             zn = x[j] if x[j] < cap else cap
-            rem -= needs_l[j] * zn
+            rem -= need * zn
+            if zn < x[j] and need - rem < gap:
+                gap = need - rem
             zc = z[j]
             if zn == zc:
                 continue
@@ -194,11 +222,10 @@ def run_snf(stream: JobStream, needs, mus, n_servers: int):
                 for q in range(zc, zn):
                     j2 = lst[q]
                     waits[j2] += t - enq_time[j2]
-                    if served_once[j2]:
+                    if clock_epoch[j2]:
                         dur = resample.next_exp() / mus_l[j]
                     else:
                         dur = unit_service[j2] / mus_l[j]
-                        served_once[j2] = True
                     epoch = clock_epoch[j2] + 1
                     clock_epoch[j2] = epoch
                     heappush(heap, (t + dur, j2, epoch))
@@ -211,6 +238,7 @@ def run_snf(stream: JobStream, needs, mus, n_servers: int):
             zlog_t.append(t)
             zlog_i.append(j)
             zlog_dz.append(zn - zc)
+        free = rem
     zlog = (np.asarray(zlog_t), np.asarray(zlog_i, dtype=np.int64),
             np.asarray(zlog_dz, dtype=np.int64))
     return np.frombuffer(waits), np.frombuffer(departures), zlog
@@ -219,8 +247,8 @@ def run_snf(stream: JobStream, needs, mus, n_servers: int):
 def run_snf_np(stream: JobStream, needs, mus, n_servers: int):
     """Non-preemptive smallest-need-first admission loop.
 
-    On every arrival and departure, the waiting job with the smallest server
-    need (earliest arrival on ties) is admitted while it fits.
+    Whenever a job may fit, the waiting job with the smallest server need
+    (earliest arrival on ties) is admitted while it fits.
 
     Returns (waits, starts, departures); service is contiguous.
     """
@@ -229,16 +257,44 @@ def run_snf_np(stream: JobStream, needs, mus, n_servers: int):
     type_of = _view(stream.type_idx)
     services = _view(stream.unit_service / mus[stream.type_idx])
 
-    queues = [deque() for _ in needs]
-    queue_needs = list(zip(queues, (int(v) for v in needs)))
+    needs_l = [int(v) for v in needs]
+    queues = [deque() for _ in needs_l]
+    queue_needs = list(zip(queues, needs_l))
     idle = n_servers
+    min_wait = math.inf
     heap: list[tuple[float, int]] = []
     waits = _zeros(num)
     starts = _zeros(num)
     departures = _zeros(num)
 
-    def admit(t):
-        nonlocal idle
+    k_next = 0
+    active = 0
+    while k_next < num or active > 0:
+        t_arr = arrivals[k_next] if k_next < num else math.inf
+        if heap and heap[0][0] <= t_arr:
+            t, need = heappop(heap)
+            idle += need
+            active -= 1
+            if idle < min_wait:
+                continue
+        else:
+            t = t_arr
+            jid = k_next
+            i = type_of[jid]
+            need = needs_l[i]
+            k_next += 1
+            active += 1
+            if need > idle:
+                queues[i].append(jid)
+                if need < min_wait:
+                    min_wait = need
+            else:  # its wait t - arrivals[jid] is 0.0, as the buffer holds
+                starts[jid] = t
+                d = t + services[jid]
+                departures[jid] = d
+                heappush(heap, (d, need))
+                idle -= need
+            continue
         while True:
             # types are in nondecreasing need order: the first nonempty queue
             # has the smallest need, and a later type of equal need wins with
@@ -254,7 +310,8 @@ def run_snf_np(stream: JobStream, needs, mus, n_servers: int):
                     elif q[0] < best[0]:
                         best = q
             if best is None or need > idle:
-                return
+                min_wait = math.inf if best is None else need
+                break
             jid = best.popleft()
             waits[jid] = t - arrivals[jid]
             starts[jid] = t
@@ -262,21 +319,6 @@ def run_snf_np(stream: JobStream, needs, mus, n_servers: int):
             departures[jid] = d
             heappush(heap, (d, need))
             idle -= need
-
-    k_next = 0
-    active = 0
-    while k_next < num or active > 0:
-        t_arr = arrivals[k_next] if k_next < num else math.inf
-        if heap and heap[0][0] <= t_arr:
-            t, need = heappop(heap)
-            idle += need
-            active -= 1
-        else:
-            t = t_arr
-            queues[type_of[k_next]].append(k_next)
-            k_next += 1
-            active += 1
-        admit(t)
     return np.frombuffer(waits), np.frombuffer(starts), np.frombuffer(departures)
 
 

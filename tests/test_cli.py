@@ -202,6 +202,13 @@ class TestVerifyAndCouple:
         for seed in (0, 1, 2):
             assert f"seed={seed})" in res.output
 
+    def test_couple_repeated_seed_is_usage_error(self, runner):
+        res = runner.invoke(main, ["couple", "--n", "64", "--jobs", "1000",
+                                   "--seed", "3", "--seed", "3"])
+        assert res.exit_code == 2, res.output
+        assert "seeds must not repeat a value" in res.output
+        assert "[PASS]" not in res.output
+
 
 class TestConfigErrorIsUsageError:
     @pytest.mark.parametrize("args", [

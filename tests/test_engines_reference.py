@@ -4,7 +4,10 @@ A deliberately naive event loop asks ``policies.schedule_*`` for the set of
 jobs in service after every arrival and departure and starts or preempts
 jobs to match.  Every engine, driven through ``simulate``, must give the
 same per-job waits and departures bit for bit: both sides do the same
-double arithmetic on the same event times.
+double arithmetic on the same event times.  The SNF in-service log, from
+which ``collect_stats`` takes ``batch_z``, the audit and ``max_busy``, must
+give the reference's per-type in-service counts after every event, and
+SNF-NP the reference's start times.
 """
 
 import math
@@ -17,6 +20,7 @@ from msjlab import (JobTypeSpec, PolicyKind, QueueJob, QueueState, Schedule,
                     SystemConfig, build_job_stream, derive_params,
                     schedule_fcfs, schedule_modified_fcfs, schedule_snf,
                     schedule_snf_np, simulate)
+from msjlab import engines
 from msjlab.stream import ResampleSource
 
 
@@ -35,8 +39,10 @@ def _scheduler(policy, config, n):
 
 
 def reference_run(policy, config, stream, n):
-    """(waits, departures) from re-scheduling at every event.
+    """(waits, departures, starts, counts) from re-scheduling at every event.
 
+    ``starts`` holds each job's last service start and ``counts`` maps each
+    event time to the per-type in-service counts after the events at it.
     Ties go to the departure, then to the lower job id, as in the engines.
     A job starting a later service spell draws its clock from the role-3
     resample stream; the draws of one event go in (type, arrival) order.
@@ -50,6 +56,8 @@ def reference_run(policy, config, stream, n):
     resample = ResampleSource(stream.seed)
     waits = [0.0] * num
     departures = [0.0] * num
+    starts = [0.0] * num
+    counts: dict[float, list[int]] = {}
     enq = list(arrivals)
     served_once = [False] * num
     in_service: dict[int, float] = {}  # job id -> departure time
@@ -80,22 +88,29 @@ def reference_run(policy, config, stream, n):
             mu = mus[types[j]]
             dur = resample.next_exp() / mu if served_once[j] else unit[j] / mu
             served_once[j] = True
+            starts[j] = t
             in_service[j] = t + dur
-    return waits, departures
+        counts[t] = [0] * config.num_types
+        for j in in_service:
+            counts[t][types[j]] += 1
+    return waits, departures, starts, counts
 
 
 @st.composite
 def small_configs(draw):
     n = draw(st.integers(1, 8))
-    num_types = draw(st.integers(1, 3))
-    needs = sorted(draw(st.lists(st.integers(1, n), min_size=num_types,
+    num_types = draw(st.integers(1, 4))
+    # needs come from a pool that may be smaller than the number of types, so
+    # equal needs are common and the SNF shortcuts meet their boundaries
+    pool = draw(st.lists(st.integers(1, n), min_size=1, max_size=num_types))
+    needs = sorted(draw(st.lists(st.sampled_from(pool), min_size=num_types,
                                  max_size=num_types)))
     mus = draw(st.lists(st.floats(0.2, 3.0), min_size=num_types,
                         max_size=num_types))
     shares = draw(st.lists(st.floats(0.05, 1.0), min_size=num_types,
                            max_size=num_types))
     # heavy but stable: a fraction rho of the n servers is busy on average
-    rho = draw(st.floats(0.3, 0.95))
+    rho = draw(st.floats(0.3, 0.99))
     scale = rho * n / sum(shares)
     return SystemConfig(n=n, types=tuple(
         JobTypeSpec(s * scale * mu / l, mu, l)
@@ -109,9 +124,23 @@ def test_engines_match_reference_policies(config, jobs, seed):
     l_max = derive_params(config).l_max
     systems = [(p, None) for p in PolicyKind]
     systems.append((PolicyKind.MODIFIED_FCFS, config.n + l_max))
+    needs = np.asarray(config.server_needs, dtype=np.int64)
+    mus = np.asarray(config.service_rates, dtype=np.float64)
     for policy, n_servers in systems:
         result = simulate(policy, config, stream, n_servers=n_servers)
-        waits, departures = reference_run(policy, config, stream,
-                                          n_servers or config.n)
+        waits, departures, starts, counts = reference_run(
+            policy, config, stream, n_servers or config.n)
         assert np.array_equal(result.waits, waits), policy
         assert np.array_equal(result.departures, departures), policy
+        if policy is PolicyKind.SNF:
+            _, _, zlog = engines.run_snf(stream, needs, mus, config.n)
+            event_times = np.fromiter(counts, dtype=np.float64)
+            assert np.isin(zlog[0], event_times).all()
+            engine_counts = np.stack(
+                [engines.step_at(t, c, event_times)
+                 for t, c in engines.in_service_steps(zlog, config.num_types)],
+                axis=1)
+            assert np.array_equal(engine_counts, list(counts.values()))
+        elif policy is PolicyKind.SNF_NP:
+            _, engine_starts, _ = engines.run_snf_np(stream, needs, mus, config.n)
+            assert np.array_equal(engine_starts, starts)
