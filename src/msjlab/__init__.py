@@ -9,10 +9,7 @@ from .model import (AssumptionReport, ConfigError, CriticalIndices,
                     DerivedParams, JobTypeSpec, ParamSet, SystemConfig,
                     check_assumptions, critical_indices, derive_params,
                     make_param_set)
-from .policies import (AuditResult, PolicyKind, QueueJob, QueueState,
-                       Schedule, audit_work_conservation, schedule_fcfs,
-                       schedule_modified_fcfs, schedule_snf, schedule_snf_np,
-                       snf_allocation)
+from .policies import AuditResult, PolicyKind, snf_allocation
 from .sim import (DOMINANCE_SYSTEMS, SimResult, check_couplings,
                   check_infinite_server_dominance, check_sandwich,
                   sandwich_systems, simulate, simulate_coupled)
@@ -22,7 +19,6 @@ from .stats import (BatchMeansEstimate, batch_means, from_batch_values,
 from .bounds import (BoundReport, evaluate_bounds, mminf_negative_part,
                      mminf_tail)
 from .oracle import (CtmcSpec, StationarySolution, ctmc_stationary,
-                     ctmc_stationary_auto, erlang_c, mm1_whole_machine,
-                     snf_allocation_fn)
+                     ctmc_stationary_auto, erlang_c, snf_allocation_fn)
 
 __version__ = "0.1.0"

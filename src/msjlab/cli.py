@@ -200,9 +200,12 @@ def main():
     """Multiserver-job queueing laboratory."""
 
 
+_param_set = click.option(
+    "--param-set", default="one", show_default=True,
+    help="one | two | path to a config file {n, types:[{lambda,mu,l}]}")
+
 _shared = [
-    click.option("--param-set", default="one", show_default=True,
-                 help="one | two | path to a config file {n, types:[{lambda,mu,l}]}"),
+    _param_set,
     click.option("--warmup", default=WARMUP, show_default=True,
                  type=click.FloatRange(0, 1, max_open=True),
                  help="fraction of simulated time discarded"),
@@ -227,14 +230,14 @@ def shared_options(fn):
               show_default=True)
 @click.option("--out", type=click.File("w", lazy=False), default="-",
               help="JSON summary path; - is stdout")
-@click.option("--dump-trajectory", type=click.Path(dir_okay=False), default=None,
-              help="write per-event state records here")
+@click.option("--dump-trajectory", type=click.File("w", lazy=False), default=None,
+              help="write per-event state records to this path")
 def run(param_set, warmup, batches, n, policy, seed, jobs, out, dump_trajectory):
     """Simulate one (policy, config, seed) cell and emit a JSON summary."""
     config = resolve_config(param_set, n)
     stream = build_job_stream(seed, jobs, config)
     result = simulate(PolicyKind(policy), config, stream, warmup,
-                      batches=batches, trajectory_path=dump_trajectory)
+                      batches=batches, trajectory=dump_trajectory)
     waits = stats.mean_waiting_time(result, config)
     doc = {
         "config": config.to_file_dict(),
@@ -288,7 +291,7 @@ def sweep(param_set, warmup, batches, n_list, policies, seeds, jobs, workers,
 
 
 @main.command()
-@click.option("--param-set", default="one", show_default=True)
+@_param_set
 @click.option("--n", type=int, default=None)
 @click.option("--out", type=click.File("w", lazy=False), default="-",
               help="JSON report path; - is stdout")
@@ -315,13 +318,13 @@ def verify(suite):
 
 
 @main.command()
-@shared_options
+@_param_set
 @click.option("--n", type=int, default=None, help="server count (named sets)")
 @click.option("--seed", "seeds", type=int, multiple=True, default=(0,),
               show_default=True)
 @click.option("--jobs", type=click.IntRange(min=1), default=100_000,
               show_default=True)
-def couple(param_set, warmup, batches, n, seeds, jobs):
+def couple(param_set, n, seeds, jobs):
     """Coupled-path checks: waiting-time sandwich and infinite-server
     dominance on one shared stream per seed; nonzero exit if any fails."""
     _require_distinct(seeds=seeds)
@@ -329,8 +332,7 @@ def couple(param_set, warmup, batches, n, seeds, jobs):
     all_ok = True
     for seed in seeds:
         stream = build_job_stream(seed, jobs, config)
-        sandwich_ok, dominance_ok = check_couplings(config, stream, warmup,
-                                                    batches=batches)
+        sandwich_ok, dominance_ok = check_couplings(config, stream)
         click.echo(f"[{'PASS' if sandwich_ok else 'FAIL'}] waiting-time sandwich "
                    f"(n={config.n}, jobs={jobs}, seed={seed})")
         click.echo(f"[{'PASS' if dominance_ok else 'FAIL'}] infinite-server dominance")

@@ -1,5 +1,5 @@
-"""Exact desk-scale references: Erlang-C, whole-machine M/M/1 closed forms,
-and a truncated CTMC stationary solver for count-determined policies.
+"""Exact desk-scale references: Erlang-C and a truncated CTMC stationary
+solver for count-determined policies.
 
 The CTMC solver covers any policy whose allocation is a deterministic
 function of the per-type job counts (SNF is; FCFS is not, its state is the
@@ -45,22 +45,6 @@ def erlang_c(n: int, lam: float, mu: float) -> dict:
     rho = a / n
     p_wait = b / (1 - rho * (1 - b))
     return {"p_wait": p_wait, "mean_wait": p_wait / (n * mu - lam)}
-
-
-def mm1_whole_machine(lam: float, mu: float) -> dict:
-    """Closed forms when every job takes the whole machine (M/M/1).
-
-    Returns waiting probability rho, mean wait rho/(mu - lam), and mean
-    queue length rho^2/(1 - rho).
-    """
-    if lam <= 0 or mu <= 0 or lam >= mu:
-        raise ValueError("need 0 < lam < mu")
-    rho = lam / mu
-    return {
-        "p_wait": rho,
-        "mean_wait": lam / (mu * (mu - lam)),
-        "mean_queue": rho**2 / (1 - rho),
-    }
 
 
 # (S, I) count vectors in, their (S, I) allocations out

@@ -110,13 +110,14 @@ def simulate(
     *,
     n_servers: int | None = None,
     batches: int = BATCHES,
-    trajectory_path=None,
+    trajectory=None,
 ) -> SimResult:
     """Run one system on the given job stream.
 
     ``n_servers`` overrides the config's server count (used by the coupled
     bounding systems); the Modified-FCFS admission threshold and the audit's
-    delta' stay the config's maximal need either way.
+    delta' stay the config's maximal need either way.  ``trajectory``, an
+    open text stream, receives the per-event records of ``dump_trajectory``.
     """
     policy = PolicyKind(policy)
     params = derive_params(config)
@@ -173,30 +174,23 @@ def simulate(
         types=stream.type_idx,
         **stats,
     )
-    if trajectory_path is not None:
-        dump_trajectory(result, config, trajectory_path,
+    if trajectory is not None:
+        dump_trajectory(result, config, trajectory,
                         service_starts=starts, zlog=zlog)
     return result
 
 
-def simulate_coupled(
-    systems,
-    config: SystemConfig,
-    stream: JobStream,
-    warmup: float = WARMUP,
-    *,
-    batches: int = BATCHES,
-) -> list[SimResult]:
-    """Run several systems on one shared job stream.
+def simulate_coupled(systems, config: SystemConfig,
+                     stream: JobStream) -> list[SimResult]:
+    """Run several systems on one shared job stream, each at ``WARMUP`` and
+    ``BATCHES``.
 
     ``systems`` is a list of (policy, server count) pairs; a server count of
     None means the config's own n.  Every system sees the identical arrival
     epochs, type labels and unit service draws.
     """
-    return [
-        simulate(policy, config, stream, warmup, n_servers=n_sys, batches=batches)
-        for policy, n_sys in systems
-    ]
+    return [simulate(policy, config, stream, n_servers=n_sys)
+            for policy, n_sys in systems]
 
 
 def sandwich_systems(config: SystemConfig) -> list:
@@ -250,24 +244,25 @@ def check_infinite_server_dominance(coupled) -> bool:
                       > engines.step_at(tf, cf, epochs))
 
 
-def check_couplings(config: SystemConfig, stream: JobStream,
-                    warmup: float = WARMUP, *,
-                    batches: int = BATCHES) -> tuple[bool, bool]:
+def check_couplings(config: SystemConfig,
+                    stream: JobStream) -> tuple[bool, bool]:
     """(sandwich_ok, dominance_ok): both couplings run on one shared stream.
 
-    FCFS @ n belongs to both couplings and is simulated once.
+    FCFS @ n belongs to both couplings and is simulated once.  The verdicts
+    depend on the waits, arrivals and departures only, not on the
+    statistics window.
     """
     sandwich = sandwich_systems(config)
     systems = list(dict.fromkeys([*sandwich, *DOMINANCE_SYSTEMS]))
-    runs = dict(zip(systems, simulate_coupled(systems, config, stream, warmup,
-                                              batches=batches)))
+    runs = dict(zip(systems, simulate_coupled(systems, config, stream)))
     return (check_sandwich([runs[s] for s in sandwich]),
             check_infinite_server_dominance([runs[s] for s in DOMINANCE_SYSTEMS]))
 
 
-def dump_trajectory(result: SimResult, config: SystemConfig, path,
+def dump_trajectory(result: SimResult, config: SystemConfig, out,
                     *, service_starts=None, zlog=None) -> None:
-    """Write one line per event: t, kind, type, x-vector, z-vector (TSV).
+    """Write one line per event to the text stream ``out``: t, kind, type,
+    x-vector, z-vector (TSV).
 
     Vectors are semicolon-joined per-type counts after all events at time t;
     events at equal times are ordered departure first, then by job id.
@@ -292,10 +287,9 @@ def dump_trajectory(result: SimResult, config: SystemConfig, path,
                          for t, c in engines.in_service_steps(zlog, num_types)],
                         axis=1)
     kind_name = {0: "departure", 1: "arrival"}
-    with open(path, "w") as fh:
-        fh.write("t\tkind\ttype\tx\tz\n")
-        for row, idx in enumerate(order):
-            xs = ";".join(str(int(v)) for v in x_at[row])
-            zs = ";".join(str(int(v)) for v in z_at[row])
-            fh.write(f"{float(ev_t[idx])!r}\t{kind_name[int(ev_kind[idx])]}\t"
-                     f"{int(ev_type[idx])}\t{xs}\t{zs}\n")
+    out.write("t\tkind\ttype\tx\tz\n")
+    for row, idx in enumerate(order):
+        xs = ";".join(str(int(v)) for v in x_at[row])
+        zs = ";".join(str(int(v)) for v in z_at[row])
+        out.write(f"{float(ev_t[idx])!r}\t{kind_name[int(ev_kind[idx])]}\t"
+                  f"{int(ev_type[idx])}\t{xs}\t{zs}\n")

@@ -300,6 +300,17 @@ class TestOptionTypes:
         assert "--out" in res.output
         assert calls == []
 
+    def test_unwritable_trajectory_fails_before_any_work(self, runner, tmp_path,
+                                                         monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "simulate", lambda *a, **k: calls.append(a))
+        res = runner.invoke(main, ["run", "--n", "64", "--jobs", "500",
+                                   "--dump-trajectory",
+                                   str(tmp_path / "missing" / "x.tsv")])
+        assert res.exit_code == 2, res.output
+        assert "--dump-trajectory" in res.output
+        assert calls == []
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_is_usage_error(self, runner, workers):
         res = runner.invoke(main, ["sweep", "--n", "64", "--jobs", "2000",

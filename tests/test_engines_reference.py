@@ -1,99 +1,23 @@
 """Differential test: the fast engines against the reference policies.
 
-A deliberately naive event loop asks ``policies.schedule_*`` for the set of
-jobs in service after every arrival and departure and starts or preempts
-jobs to match.  Every engine, driven through ``simulate``, must give the
-same per-job waits and departures bit for bit: both sides do the same
-double arithmetic on the same event times.  The SNF in-service log, from
-which ``collect_stats`` takes ``batch_z``, the audit and ``max_busy``, must
-give the reference's per-type in-service counts after every event, and
-SNF-NP the reference's start times.
+A deliberately naive event loop, ``reference.reference_run``, asks
+``reference.schedule_*`` for the set of jobs in service after every arrival
+and departure and starts or preempts jobs to match.  Every engine, driven
+through ``simulate``, must give the same per-job waits and departures bit
+for bit: both sides do the same double arithmetic on the same event times.
+The SNF in-service log, from which ``collect_stats`` takes ``batch_z``, the
+audit and ``max_busy``, must give the reference's per-type in-service
+counts after every event, and SNF-NP the reference's start times.
 """
-
-import math
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msjlab import (JobTypeSpec, PolicyKind, QueueJob, QueueState, Schedule,
-                    SystemConfig, build_job_stream, derive_params,
-                    schedule_fcfs, schedule_modified_fcfs, schedule_snf,
-                    schedule_snf_np, simulate)
+from msjlab import (JobTypeSpec, PolicyKind, SystemConfig, build_job_stream,
+                    derive_params, simulate)
 from msjlab import engines
-from msjlab.stream import ResampleSource
-
-
-def _scheduler(policy, config, n):
-    needs = config.server_needs
-    if policy is PolicyKind.FCFS:
-        return lambda s: schedule_fcfs(s, n, needs)
-    if policy is PolicyKind.MODIFIED_FCFS:
-        l_max = derive_params(config).l_max
-        return lambda s: schedule_modified_fcfs(s, n, l_max, needs)
-    if policy is PolicyKind.SNF:
-        return lambda s: schedule_snf(s, n, needs)
-    if policy is PolicyKind.SNF_NP:
-        return lambda s: schedule_snf_np(s, n, needs)
-    return lambda s: Schedule(serve=frozenset(j.job_id for j in s.jobs))
-
-
-def reference_run(policy, config, stream, n):
-    """(waits, departures, starts, counts) from re-scheduling at every event.
-
-    ``starts`` holds each job's last service start and ``counts`` maps each
-    event time to the per-type in-service counts after the events at it.
-    Ties go to the departure, then to the lower job id, as in the engines.
-    A job starting a later service spell draws its clock from the role-3
-    resample stream; the draws of one event go in (type, arrival) order.
-    """
-    schedule = _scheduler(policy, config, n)
-    mus = config.service_rates
-    arrivals = stream.arrival_times.tolist()
-    unit = stream.unit_service.tolist()
-    types = stream.type_idx.tolist()
-    num = len(arrivals)
-    resample = ResampleSource(stream.seed)
-    waits = [0.0] * num
-    departures = [0.0] * num
-    starts = [0.0] * num
-    counts: dict[float, list[int]] = {}
-    enq = list(arrivals)
-    served_once = [False] * num
-    in_service: dict[int, float] = {}  # job id -> departure time
-    system: list[int] = []  # job ids in arrival order
-    k = 0
-    while k < num or system:
-        t_arr = arrivals[k] if k < num else math.inf
-        nxt = min(in_service, key=lambda j: (in_service[j], j), default=None)
-        if nxt is not None and in_service[nxt] <= t_arr:
-            t = in_service.pop(nxt)
-            system.remove(nxt)
-            departures[nxt] = t
-        else:
-            t = t_arr
-            system.append(k)
-            k += 1
-        state = QueueState(
-            jobs=tuple(QueueJob(j, types[j], j in in_service) for j in system),
-            num_types=config.num_types)
-        serve = schedule(state).serve
-        for j in system:
-            if j in in_service and j not in serve:
-                del in_service[j]
-                enq[j] = t
-        for j in sorted((j for j in serve if j not in in_service),
-                        key=lambda j: (types[j], j)):
-            waits[j] += t - enq[j]
-            mu = mus[types[j]]
-            dur = resample.next_exp() / mu if served_once[j] else unit[j] / mu
-            served_once[j] = True
-            starts[j] = t
-            in_service[j] = t + dur
-        counts[t] = [0] * config.num_types
-        for j in in_service:
-            counts[t][types[j]] += 1
-    return waits, departures, starts, counts
+from reference import reference_run
 
 
 @st.composite

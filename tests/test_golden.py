@@ -125,6 +125,7 @@ def test_bounds_json_bytes(case, tmp_path):
 @pytest.mark.parametrize("policy", list(TRAJECTORY_SHA256))
 def test_trajectory_dump_bytes(policy, tmp_path, set_one_64):
     path = tmp_path / "events.tsv"
-    simulate(policy, set_one_64, build_job_stream(4, 5_000, set_one_64),
-             trajectory_path=path)
+    with open(path, "w") as fh:
+        simulate(policy, set_one_64, build_job_stream(4, 5_000, set_one_64),
+                 trajectory=fh)
     assert _sha256(path.read_bytes()) == TRAJECTORY_SHA256[policy]

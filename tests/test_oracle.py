@@ -5,9 +5,10 @@ import pytest
 
 from msjlab import (CtmcSpec, JobTypeSpec, PolicyKind, SystemConfig,
                     build_job_stream, ctmc_stationary, ctmc_stationary_auto,
-                    erlang_c, mm1_whole_machine, simulate, snf_allocation_fn)
+                    erlang_c, simulate, snf_allocation_fn)
 from msjlab import oracle, stats
 from msjlab.oracle import default_caps
+from reference import mm1_whole_machine
 
 
 class TestErlangC:

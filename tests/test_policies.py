@@ -2,10 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msjlab import (AuditResult, QueueJob, QueueState,
-                    audit_work_conservation, schedule_fcfs,
-                    schedule_modified_fcfs, schedule_snf, schedule_snf_np,
-                    snf_allocation)
+from msjlab import AuditResult, snf_allocation
+from reference import (QueueJob, QueueState, audit_work_conservation,
+                       schedule_fcfs, schedule_modified_fcfs, schedule_snf,
+                       schedule_snf_np)
 
 
 def state(entries, num_types):

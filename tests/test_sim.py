@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from msjlab import (DOMINANCE_SYSTEMS, PolicyKind, audit_work_conservation,
-                    build_job_stream, check_couplings,
-                    check_infinite_server_dominance, check_sandwich,
-                    derive_params, erlang_c, mean_waiting_time,
-                    sandwich_systems, simulate, simulate_coupled)
+from msjlab import (DOMINANCE_SYSTEMS, PolicyKind, build_job_stream,
+                    check_couplings, check_infinite_server_dominance,
+                    check_sandwich, derive_params, erlang_c,
+                    mean_waiting_time, sandwich_systems, simulate,
+                    simulate_coupled)
 from msjlab import sim, stats
+from reference import audit_work_conservation
 
 
 def test_mm2_fcfs_matches_erlang_c(mm2):
@@ -197,8 +198,8 @@ def _window_epochs(path, result, config):
 def test_trajectory_dump_consistent_with_audit(tmp_path, set_one_64):
     path = tmp_path / "events.tsv"
     stream = build_job_stream(4, 5_000, set_one_64)
-    result = simulate(PolicyKind.SNF, set_one_64, stream,
-                      trajectory_path=path)
+    with open(path, "w") as fh:
+        result = simulate(PolicyKind.SNF, set_one_64, stream, trajectory=fh)
     epochs = _window_epochs(path, result, set_one_64)
     replay = audit_work_conservation(epochs, set_one_64.n,
                                      derive_params(set_one_64).l_max,
@@ -220,8 +221,8 @@ def test_custom_delta_prime_audit(tmp_path, set_one_64):
     # The run audits at delta' = l_max; replay its epochs at both slacks.
     path = tmp_path / "events.tsv"
     stream = build_job_stream(9, 20_000, set_one_64)
-    result = simulate(PolicyKind.FCFS, set_one_64, stream,
-                      trajectory_path=path)
+    with open(path, "w") as fh:
+        result = simulate(PolicyKind.FCFS, set_one_64, stream, trajectory=fh)
     epochs = _window_epochs(path, result, set_one_64)
     n, needs = set_one_64.n, set_one_64.server_needs
     strict = audit_work_conservation(epochs, n, 0.0, needs)
