@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,22 @@ from msjlab import (CtmcSpec, JobTypeSpec, PolicyKind, SystemConfig,
 from msjlab import oracle, stats
 from msjlab.oracle import default_caps
 from reference import mm1_whole_machine
+
+
+@pytest.fixture(scope="module")
+def box_spec():
+    # the three-type SNF box of the benchmark's oracle workload (9,261 states)
+    box = SystemConfig(n=8, types=(JobTypeSpec(1.2, 1.0, 1),
+                                   JobTypeSpec(0.6, 1.0, 2),
+                                   JobTypeSpec(0.25, 1.0, 4)))
+    return CtmcSpec(config=box, allocation=snf_allocation_fn(box), cap=(20, 20, 20))
+
+
+def _solve(name, request):
+    """The benchmark box at its fixed caps; a named config through ctmc_stationary_auto."""
+    if name == "box_spec":
+        return ctmc_stationary(request.getfixturevalue(name))
+    return ctmc_stationary_auto(request.getfixturevalue(name))
 
 
 class TestErlangC:
@@ -72,11 +89,37 @@ class TestCtmc:
         sol = ctmc_stationary_auto(request.getfixturevalue(fixture))
         assert sol.workload == pytest.approx(sol.normalized_work, abs=1e-8)
 
-    def test_deterministic_moments(self, two_type):
-        a = ctmc_stationary_auto(two_type)
-        b = ctmc_stationary_auto(two_type)
-        assert np.allclose(a.mean_q, b.mean_q, atol=1e-10)
-        assert abs(a.workload - b.workload) < 1e-10
+    def test_deterministic_moments(self, request):
+        # the benchmark requires byte-identical outputs from every unit
+        for fixture in ("two_type", "box_spec"):
+            a = _solve(fixture, request)
+            b = _solve(fixture, request)
+            assert np.array_equal(a.pi, b.pi), fixture
+            assert np.array_equal(a.mean_q, b.mean_q), fixture
+            assert a.workload == b.workload, fixture
+
+    def test_one_spsolve_call_per_solve(self, box_spec, monkeypatch):
+        # perfbench times oracle.spsolve.s through this one attribute
+        calls = []
+        solve = oracle.spla.spsolve
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(oracle.spla, "spsolve", counting)
+        ctmc_stationary(box_spec)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("fixture", ["box_spec", "two_type", "whole_machine"])
+    def test_dissection_order_does_not_change_the_answer(self, fixture, request,
+                                                         monkeypatch):
+        ordered = _solve(fixture, request)
+        monkeypatch.setattr(oracle, "_dissection_order",
+                            lambda dims: np.arange(math.prod(dims)))
+        natural = _solve(fixture, request)
+        np.testing.assert_allclose(ordered.mean_q, natural.mean_q, rtol=1e-12)
+        np.testing.assert_allclose(ordered.pi, natural.pi, rtol=0, atol=1e-14)
 
     def test_truncation_flag_on_tight_cap(self, two_type):
         spec = CtmcSpec(config=two_type, allocation=snf_allocation_fn(two_type),
@@ -177,6 +220,32 @@ class TestCtmc:
         caps = default_caps(set_one_64)
         offered = [t.arrival_rate / t.service_rate for t in set_one_64.types]
         assert all(c > o for c, o in zip(caps, offered))
+
+
+DISSECTION_DIMS = [(2,), (7,), (40,), (2, 2), (3, 4), (111, 50), (2, 2, 2),
+                   (21, 21, 21), (3, 5, 4, 2), (2, 9, 2, 3)]
+
+
+@pytest.mark.parametrize("dims", DISSECTION_DIMS, ids=str)
+def test_dissection_order_is_a_permutation(dims):
+    order = oracle._dissection_order(dims)
+    assert order.dtype.kind == "i"
+    np.testing.assert_array_equal(np.sort(order), np.arange(math.prod(dims)))
+
+
+@pytest.mark.parametrize("dims", [d for d in DISSECTION_DIMS if math.prod(d) > 8],
+                         ids=str)
+def test_dissection_order_puts_the_top_separator_last(dims):
+    # the plane across the longest axis splits the box; both halves come first
+    order = oracle._dissection_order(dims)
+    axis = int(np.argmax(dims))
+    mid = dims[axis] // 2
+    coord = np.indices(dims)[axis].ravel()[order]
+    lower = np.flatnonzero(coord < mid)
+    plane = np.flatnonzero(coord == mid)
+    upper = np.flatnonzero(coord > mid)
+    assert lower.max() < upper.min()
+    assert upper.max() < plane.min()
 
 
 def test_ctmc_vs_simulation_quick(two_type):
