@@ -3,7 +3,9 @@ invariant suites and coupled-path checks."""
 
 from __future__ import annotations
 
+import csv
 import json
+import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -18,8 +20,8 @@ from .bounds import evaluate_bounds
 from .model import (ConfigError, ParamSet, SystemConfig, derive_params,
                     make_param_set)
 from .policies import PolicyKind
-from .sim import BATCHES, WARMUP, build_job_stream, check_couplings, simulate
-from .verify import SUITES, run_suite
+from .sim import BATCHES, WARMUP, build_job_stream, simulate
+from .verify import SUITES, suite_coupling
 
 LARGE_N = 4096  # larger sweeps are compute-heavy and need an explicit opt-in
 
@@ -72,6 +74,20 @@ def _fmt(value) -> str:
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     return str(value)
+
+
+def _strict_json(doc) -> str:
+    """``doc`` as indented RFC 8259 JSON: a non-finite float, such as the
+    half-width of an estimate with no interval, is written as null."""
+    def finite(value):
+        if isinstance(value, dict):
+            return {k: finite(v) for k, v in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [finite(v) for v in value]
+        if isinstance(value, float) and not math.isfinite(value):
+            return None
+        return value
+    return json.dumps(finite(doc), indent=2, allow_nan=False)
 
 
 def _sim_cell(args):
@@ -179,9 +195,9 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
 def write_csv(rows: list[dict], out, header_meta: str | None = None) -> None:
     if header_meta:
         out.write(f"# {header_meta}\n")
-    out.write(",".join(CSV_COLUMNS) + "\n")
-    for row in rows:
-        out.write(",".join(_fmt(row.get(col)) for col in CSV_COLUMNS) + "\n")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows([_fmt(row.get(col)) for col in CSV_COLUMNS] for row in rows)
 
 
 class _Main(click.Group):
@@ -256,7 +272,7 @@ def run(param_set, warmup, batches, n, policy, seed, jobs, out, dump_trajectory)
                   "worst_slack": result.audit.worst_slack},
         "digest": result.digest(),
     }
-    click.echo(json.dumps(doc, indent=2), file=out)
+    click.echo(_strict_json(doc), file=out)
 
 
 @main.command()
@@ -298,23 +314,26 @@ def sweep(param_set, warmup, batches, n_list, policies, seeds, jobs, workers,
 def bounds(param_set, n, out):
     """Evaluate every closed-form bound at a configuration (JSON)."""
     report = evaluate_bounds(resolve_config(param_set, n))
-    click.echo(json.dumps(report.to_dict(), indent=2), file=out)
+    click.echo(_strict_json(report.to_dict()), file=out)
+
+
+def _report(outcomes) -> None:
+    """Print one line per check and a ``k/m checks passed`` tally; exit 1 if
+    any check failed."""
+    for oc in outcomes:
+        detail = f"  ({oc.detail})" if oc.detail else ""
+        click.echo(f"[{'PASS' if oc.passed else 'FAIL'}] {oc.name}{detail}")
+    passed = sum(oc.passed for oc in outcomes)
+    click.echo(f"{passed}/{len(outcomes)} checks passed")
+    if passed < len(outcomes):
+        sys.exit(1)
 
 
 @main.command()
 @click.option("--suite", required=True, type=click.Choice(sorted(SUITES)))
 def verify(suite):
     """Run a named invariant suite; nonzero exit on any failure."""
-    outcomes = run_suite(suite)
-    failed = 0
-    for oc in outcomes:
-        mark = "PASS" if oc.passed else "FAIL"
-        detail = f"  ({oc.detail})" if oc.detail else ""
-        click.echo(f"[{mark}] {oc.name}{detail}")
-        failed += not oc.passed
-    click.echo(f"{len(outcomes) - failed}/{len(outcomes)} checks passed")
-    if failed:
-        sys.exit(1)
+    _report(SUITES[suite]())
 
 
 @main.command()
@@ -328,17 +347,7 @@ def couple(param_set, n, seeds, jobs):
     """Coupled-path checks: waiting-time sandwich and infinite-server
     dominance on one shared stream per seed; nonzero exit if any fails."""
     _require_distinct(seeds=seeds)
-    config = resolve_config(param_set, n)
-    all_ok = True
-    for seed in seeds:
-        stream = build_job_stream(seed, jobs, config)
-        sandwich_ok, dominance_ok = check_couplings(config, stream)
-        click.echo(f"[{'PASS' if sandwich_ok else 'FAIL'}] waiting-time sandwich "
-                   f"(n={config.n}, jobs={jobs}, seed={seed})")
-        click.echo(f"[{'PASS' if dominance_ok else 'FAIL'}] infinite-server dominance")
-        all_ok &= sandwich_ok and dominance_ok
-    if not all_ok:
-        sys.exit(1)
+    _report(suite_coupling(resolve_config(param_set, n), seeds, jobs))
 
 
 if __name__ == "__main__":

@@ -4,7 +4,7 @@ pathwise dominance checkers built on top of them."""
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -108,55 +108,48 @@ def simulate(
     stream: JobStream,
     warmup: float = WARMUP,
     *,
-    n_servers: int | None = None,
     batches: int = BATCHES,
     trajectory=None,
 ) -> SimResult:
-    """Run one system on the given job stream.
+    """Run one system, with ``config.n`` servers, on the given job stream.
 
-    ``n_servers`` overrides the config's server count (used by the coupled
-    bounding systems); the Modified-FCFS admission threshold and the audit's
-    delta' stay the config's maximal need either way.  ``trajectory``, an
-    open text stream, receives the per-event records of ``dump_trajectory``.
+    The Modified-FCFS admission threshold and the audit's delta' are the
+    config's maximal need.  ``trajectory``, an open text stream, receives
+    the per-event records of ``dump_trajectory``.
     """
     policy = PolicyKind(policy)
     params = derive_params(config)
     if not 0 <= warmup < 1:
         raise ValueError(f"warmup fraction must lie in [0, 1), got {warmup}")
-    n_sys = config.n if n_servers is None else int(n_servers)
     needs = np.asarray(config.server_needs, dtype=np.int64)
     mus = np.asarray(config.service_rates, dtype=np.float64)
-    if policy is not PolicyKind.INFINITE_SERVER and needs.max() > n_sys:
-        raise ValueError(
-            f"need {needs.max()} exceeds server count {n_sys}")
 
     zlog = None
     if policy is PolicyKind.FCFS:
         waits, starts, deps = engines.run_order_preserving(
-            stream, needs, mus, n_sys, admit_threshold=None)
+            stream, needs, mus, config.n, admit_threshold=None)
     elif policy is PolicyKind.MODIFIED_FCFS:
         waits, starts, deps = engines.run_order_preserving(
-            stream, needs, mus, n_sys, admit_threshold=params.l_max)
+            stream, needs, mus, config.n, admit_threshold=params.l_max)
     elif policy is PolicyKind.INFINITE_SERVER:
         waits, starts, deps = engines.run_infinite_server(stream, needs, mus)
     elif policy is PolicyKind.SNF:
-        waits, deps, zlog = engines.run_snf(stream, needs, mus, n_sys)
+        waits, deps, zlog = engines.run_snf(stream, needs, mus, config.n)
         starts = None
     elif policy is PolicyKind.SNF_NP:
-        waits, starts, deps = engines.run_snf_np(stream, needs, mus, n_sys)
+        waits, starts, deps = engines.run_snf_np(stream, needs, mus, config.n)
     else:  # pragma: no cover
         raise ValueError(f"unknown policy {policy}")
 
     t1 = float(stream.arrival_times[-1])
     t0 = warmup * t1
-    qp_n = n_sys if policy is not PolicyKind.INFINITE_SERVER else config.n
     stats = engines.collect_stats(
         arrivals=stream.arrival_times,
         departures=deps,
         types=stream.type_idx,
         needs=needs,
         mus=mus,
-        n_servers=qp_n,
+        n_servers=config.n,
         window=(t0, t1),
         batches=batches,
         service_starts=starts,
@@ -164,7 +157,7 @@ def simulate(
     )
     result = SimResult(
         policy=policy,
-        n_servers=n_sys,
+        n_servers=config.n,
         seed=stream.seed,
         warmup_discarded=warmup,
         window=(t0, t1),
@@ -186,11 +179,12 @@ def simulate_coupled(systems, config: SystemConfig,
     ``BATCHES``.
 
     ``systems`` is a list of (policy, server count) pairs; a server count of
-    None means the config's own n.  Every system sees the identical arrival
+    None means the config's own n.  Each system runs on a copy of the config
+    with its own server count, and every system sees the identical arrival
     epochs, type labels and unit service draws.
     """
-    return [simulate(policy, config, stream, n_servers=n_sys)
-            for policy, n_sys in systems]
+    return [simulate(policy, replace(config, n=n or config.n), stream)
+            for policy, n in systems]
 
 
 def sandwich_systems(config: SystemConfig) -> list:

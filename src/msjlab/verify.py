@@ -1,4 +1,4 @@
-"""Named invariant suites run by the ``verify`` CLI subcommand.
+"""Named invariant suites run by ``verify``; ``couple`` runs ``coupling``.
 
 Each suite is a fixed-seed, desk-scale version of a pathwise or statistical
 property; the full-scale versions live in the acceptance test module.
@@ -30,15 +30,18 @@ def _outcome(name, passed, detail=""):
     return CheckOutcome(name=name, passed=bool(passed), detail=detail)
 
 
-def suite_coupling(seeds=range(5), jobs=20_000) -> list[CheckOutcome]:
-    """Pathwise sandwich and infinite-server dominance, exact comparisons."""
-    config = make_param_set(ParamSet.ONE, 64)
+def suite_coupling(config=None, seeds=range(5),
+                   jobs=20_000) -> list[CheckOutcome]:
+    """Pathwise sandwich and infinite-server dominance, exact comparisons,
+    on one shared stream per seed; ``config`` defaults to set one at n=64."""
+    config = config or make_param_set(ParamSet.ONE, 64)
     out = []
     for seed in seeds:
         sandwich_ok, dominance_ok = check_couplings(
             config, build_job_stream(seed, jobs, config))
-        out.append(_outcome(f"sandwich[seed={seed}]", sandwich_ok))
-        out.append(_outcome(f"dominance[seed={seed}]", dominance_ok))
+        run = f"(n={config.n}, jobs={jobs}, seed={seed})"
+        out.append(_outcome(f"waiting-time sandwich {run}", sandwich_ok))
+        out.append(_outcome(f"infinite-server dominance {run}", dominance_ok))
     return out
 
 
@@ -131,9 +134,3 @@ SUITES = {
     "drift": suite_drift,
     "tails": suite_tails,
 }
-
-
-def run_suite(name: str) -> list[CheckOutcome]:
-    if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    return SUITES[name]()

@@ -1,9 +1,11 @@
+import csv
+import io
 import json
 
 import pytest
 from click.testing import CliRunner
 
-from msjlab import cli
+from msjlab import cli, verify
 from msjlab.cli import CSV_COLUMNS, SweepSpec, main, run_sweep
 
 EXPECTED_COLUMNS = [
@@ -39,6 +41,18 @@ def _data_lines(text):
     return [l for l in text.splitlines() if l and not l.startswith("#")]
 
 
+def _csv_rows(text):
+    """The data rows of a sweep CSV, each as a list of fields."""
+    return list(csv.reader(_data_lines(text)))[1:]
+
+
+def _strict_loads(text):
+    """Parse RFC 8259 JSON: NaN and Infinity are refused."""
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=refuse)
+
+
 class TestRun:
     def test_json_summary(self, runner):
         res = runner.invoke(main, ["run", "--param-set", "one", "--n", "64",
@@ -48,6 +62,14 @@ class TestRun:
         assert doc["config"]["n"] == 64
         assert doc["audit"]["violations"] == 0
         assert set(doc["wait_per_type"]) == {"1", "2", "3"}
+
+    def test_no_interval_is_null(self, runner):
+        # type 3 has fewer post-warm-up jobs than batches: no interval
+        res = runner.invoke(main, ["run", "--param-set", "two", "--n", "1024",
+                                   "--jobs", "400"])
+        assert res.exit_code == 0, res.output
+        doc = _strict_loads(res.output)
+        assert doc["wait_per_type"]["3"]["half_width"] is None
 
     def test_config_file_and_determinism(self, runner, config_file, tmp_path):
         args = ["run", "--param-set", config_file, "--jobs", "5000",
@@ -99,7 +121,7 @@ class TestSweep:
         d1, d2 = map(_data_lines, outputs)
         assert d1 == d2  # byte-identical data rows, timestamps only in '#'
         assert d1[0] == ",".join(CSV_COLUMNS)
-        rows = [dict(zip(CSV_COLUMNS, l.split(","))) for l in d1[1:]]
+        rows = [dict(zip(CSV_COLUMNS, r)) for r in _csv_rows(outputs[0])]
         kinds = [r["row_kind"] for r in rows]
         assert kinds.count("bounds") == 1
         assert kinds.count("sim") == 4
@@ -117,10 +139,39 @@ class TestSweep:
                                    "2", "--jobs", "2000", "--policy", "fcfs",
                                    "--out", str(out)])
         assert res.exit_code == 0, res.output
-        rows = [dict(zip(CSV_COLUMNS, l.split(",")))
-                for l in _data_lines(out.read_text())[1:]]
+        rows = [dict(zip(CSV_COLUMNS, r)) for r in _csv_rows(out.read_text())]
         sim_rows = [r for r in rows if r["row_kind"] == "sim"]
         assert len(sim_rows) == 1 and "overloaded" in sim_rows[0]["error"]
+
+    def test_comma_in_param_set_path_is_quoted(self, runner, tmp_path):
+        folder = tmp_path / "a,b"
+        folder.mkdir()
+        cfg = folder / "cfg.json"
+        cfg.write_text(json.dumps({"n": 8, "types": [
+            {"lambda": 1.0, "mu": 1.0, "l": 1},
+            {"lambda": 0.5, "mu": 1.0, "l": 2}]}))
+        out = tmp_path / "s.csv"
+        res = runner.invoke(main, ["sweep", "--param-set", str(cfg), "--n",
+                                   "8", "--jobs", "2000", "--policy", "fcfs",
+                                   "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        rows = _csv_rows(out.read_text())
+        assert len(rows) == 2
+        for row in rows:
+            assert len(row) == len(CSV_COLUMNS)
+            assert row[CSV_COLUMNS.index("param_set")] == str(cfg)
+
+    def test_comma_in_cell_error_is_quoted(self):
+        rows = run_sweep(SweepSpec(param_set="one", n_list=(64,),
+                                   policies=("fcfs",), seeds=(0,), jobs=400,
+                                   warmup=1.5))
+        buf = io.StringIO()
+        cli.write_csv(rows, buf)
+        parsed = _csv_rows(buf.getvalue())
+        assert [len(r) for r in parsed] == [len(CSV_COLUMNS)] * 2
+        errors = {r[0]: r[CSV_COLUMNS.index("error")] for r in parsed}
+        assert errors["sim"] == ("ValueError: warmup fraction must lie in "
+                                 "[0, 1), got 1.5")
 
     def test_large_n_needs_opt_in(self, runner):
         res = runner.invoke(main, ["sweep", "--param-set", "one", "--n",
@@ -162,7 +213,7 @@ class TestBounds:
     def test_json_output(self, runner):
         res = runner.invoke(main, ["bounds", "--param-set", "one", "--n", "64"])
         assert res.exit_code == 0, res.output
-        doc = json.loads(res.output)
+        doc = _strict_loads(res.output)
         assert doc["workload_lower"] == 24.0
         assert doc["indices"]["i_star"] == 3
 
@@ -184,6 +235,30 @@ class TestVerifyAndCouple:
         assert res.exit_code == 0, res.output
         assert "10/10 checks passed" in res.output
 
+    @pytest.mark.parametrize("suite,tally", [
+        ("oracle", "4/4 checks passed"), ("drift", "12/12 checks passed")])
+    def test_verify_suite_passes(self, runner, suite, tally):
+        res = runner.invoke(main, ["verify", "--suite", suite])
+        assert res.exit_code == 0, res.output
+        assert tally in res.output
+
+    @pytest.mark.parametrize("args,jobs,tally", [
+        (["couple", "--n", "64", "--jobs", "500", "--seed", "0", "--seed",
+          "1"], 500, "2/4 checks passed"),
+        (["verify", "--suite", "coupling"], 20_000, "5/10 checks passed")],
+        ids=["couple", "verify"])
+    def test_failed_check_exits_1(self, runner, monkeypatch, args, jobs,
+                                  tally):
+        monkeypatch.setattr(verify, "check_couplings",
+                            lambda config, stream: (True, False))
+        res = runner.invoke(main, args)
+        assert res.exit_code == 1, res.output
+        lines = res.output.splitlines()
+        run = f"(n=64, jobs={jobs}, seed=1)"
+        assert f"[PASS] waiting-time sandwich {run}" in lines
+        assert f"[FAIL] infinite-server dominance {run}" in lines
+        assert lines[-1] == tally
+
     def test_verify_unknown_suite(self, runner):
         res = runner.invoke(main, ["verify", "--suite", "nope"])
         assert res.exit_code != 0
@@ -200,7 +275,8 @@ class TestVerifyAndCouple:
         assert res.exit_code == 0, res.output
         assert res.output.count("[PASS]") == 6
         for seed in (0, 1, 2):
-            assert f"seed={seed})" in res.output
+            assert res.output.count(f"seed={seed})") == 2
+        assert res.output.splitlines()[-1] == "6/6 checks passed"
 
     def test_couple_repeated_seed_is_usage_error(self, runner):
         res = runner.invoke(main, ["couple", "--n", "64", "--jobs", "1000",

@@ -3,8 +3,9 @@
 A deliberately naive event loop, ``reference.reference_run``, asks
 ``reference.schedule_*`` for the set of jobs in service after every arrival
 and departure and starts or preempts jobs to match.  Every engine, driven
-through ``simulate``, must give the same per-job waits and departures bit
-for bit: both sides do the same double arithmetic on the same event times.
+through ``simulate_coupled``, must give the same per-job waits and
+departures bit for bit: both sides do the same double arithmetic on the
+same event times.
 The SNF in-service log, from which ``collect_stats`` takes ``batch_z``, the
 audit and ``max_busy``, must give the reference's per-type in-service
 counts after every event, and SNF-NP the reference's start times.
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from msjlab import (JobTypeSpec, PolicyKind, SystemConfig, build_job_stream,
-                    derive_params, simulate)
+                    derive_params, simulate_coupled)
 from msjlab import engines
 from reference import reference_run
 
@@ -46,14 +47,14 @@ def small_configs(draw):
 def test_engines_match_reference_policies(config, jobs, seed):
     stream = build_job_stream(seed, jobs, config)
     l_max = derive_params(config).l_max
-    systems = [(p, None) for p in PolicyKind]
+    systems = [(p, config.n) for p in PolicyKind]
     systems.append((PolicyKind.MODIFIED_FCFS, config.n + l_max))
     needs = np.asarray(config.server_needs, dtype=np.int64)
     mus = np.asarray(config.service_rates, dtype=np.float64)
-    for policy, n_servers in systems:
-        result = simulate(policy, config, stream, n_servers=n_servers)
+    for (policy, n), result in zip(systems,
+                                   simulate_coupled(systems, config, stream)):
         waits, departures, starts, counts = reference_run(
-            policy, config, stream, n_servers or config.n)
+            policy, config, stream, n)
         assert np.array_equal(result.waits, waits), policy
         assert np.array_equal(result.departures, departures), policy
         if policy is PolicyKind.SNF:

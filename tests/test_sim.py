@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -37,7 +39,7 @@ def test_warmup_validation(mm2):
 def test_need_exceeding_servers_rejected(whole_machine):
     stream = build_job_stream(0, 1000, whole_machine)
     with pytest.raises(ValueError, match="exceeds"):
-        simulate(PolicyKind.FCFS, whole_machine, stream, n_servers=2)
+        simulate_coupled([(PolicyKind.FCFS, 2)], whole_machine, stream)
 
 
 def test_determinism_digest(set_one_64):
@@ -78,8 +80,8 @@ class TestSandwich:
         l_max = derive_params(set_one_64).l_max
         s1 = build_job_stream(0, 20_000, set_one_64)
         s2 = build_job_stream(99, 20_000, set_one_64)
-        lower = simulate(PolicyKind.MODIFIED_FCFS, set_one_64, s1,
-                         n_servers=set_one_64.n + l_max)
+        lower = simulate(PolicyKind.MODIFIED_FCFS,
+                         replace(set_one_64, n=set_one_64.n + l_max), s1)
         orig = simulate(PolicyKind.FCFS, set_one_64, s2)
         upper = simulate(PolicyKind.MODIFIED_FCFS, set_one_64, s1)
         assert check_sandwich([lower, orig, upper]) is False
@@ -239,9 +241,9 @@ def test_check_couplings_simulates_shared_fcfs_once(monkeypatch, set_one_64):
     real = sim.simulate
     calls = []
 
-    def counting(policy, *args, **kwargs):
-        calls.append((PolicyKind(policy), kwargs.get("n_servers")))
-        return real(policy, *args, **kwargs)
+    def counting(policy, config, *args, **kwargs):
+        calls.append((PolicyKind(policy), config.n))
+        return real(policy, config, *args, **kwargs)
 
     monkeypatch.setattr(sim, "simulate", counting)
     stream = build_job_stream(0, 2_000, set_one_64)
