@@ -20,7 +20,8 @@ from .bounds import evaluate_bounds
 from .model import (ConfigError, ParamSet, SystemConfig, derive_params,
                     make_param_set)
 from .policies import PolicyKind
-from .sim import BATCHES, WARMUP, build_job_stream, simulate
+from .sim import (BATCHES, WARMUP, build_job_stream, check_batch_settings,
+                  simulate)
 from .verify import SUITES, suite_coupling
 
 LARGE_N = 4096  # larger sweeps are compute-heavy and need an explicit opt-in
@@ -165,6 +166,7 @@ class SweepSpec:
             raise ConfigError("n_list, policies and seeds must be nonempty")
         _require_distinct(n_list=self.n_list, policies=self.policies,
                           seeds=self.seeds)
+        check_batch_settings(self.warmup, self.batches)
         if self.jobs < 20 * self.batches:
             raise ConfigError(
                 f"jobs {self.jobs} below 20 * batches = {20 * self.batches}")

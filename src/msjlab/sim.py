@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import engines
-from .model import SystemConfig, derive_params
+from .model import ConfigError, SystemConfig, derive_params
 from .policies import AuditResult, PolicyKind
 from .stream import JobStream, build_job_stream  # re-export for convenience
 
@@ -21,6 +21,15 @@ __all__ = [
 
 WARMUP = 0.1  # default fraction of simulated time discarded as warm-up
 BATCHES = 20  # default number of equal batches for batch-means estimates
+
+
+def check_batch_settings(warmup: float, batches: int) -> None:
+    """Raise ``ConfigError`` unless the warm-up fraction lies in [0, 1) and
+    there are at least 2 batches, the fewest that give an interval."""
+    if not 0 <= warmup < 1:
+        raise ConfigError(f"warmup fraction must lie in [0, 1), got {warmup}")
+    if batches < 2:
+        raise ConfigError(f"need at least 2 batches, got {batches}")
 
 
 @dataclass(eq=False)
@@ -119,8 +128,7 @@ def simulate(
     """
     policy = PolicyKind(policy)
     params = derive_params(config)
-    if not 0 <= warmup < 1:
-        raise ValueError(f"warmup fraction must lie in [0, 1), got {warmup}")
+    check_batch_settings(warmup, batches)
     needs = np.asarray(config.server_needs, dtype=np.int64)
     mus = np.asarray(config.service_rates, dtype=np.float64)
 

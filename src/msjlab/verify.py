@@ -1,7 +1,10 @@
 """Named invariant suites run by ``verify``; ``couple`` runs ``coupling``.
 
-Each suite is a fixed-seed, desk-scale version of a pathwise or statistical
-property; the full-scale versions live in the acceptance test module.
+Each reference config and each check is stated once, here. A check takes
+its seeds and job count, and its config where a caller varies it, and
+returns one outcome per comparison. ``SUITES`` runs the checks at fixed
+seeds and desk-scale job counts; the acceptance test module calls the same
+functions at its own seeds, job counts and thresholds.
 """
 
 from __future__ import annotations
@@ -17,6 +20,16 @@ from .model import JobTypeSpec, ParamSet, SystemConfig, make_param_set
 from .oracle import ctmc_stationary_auto, erlang_c
 from .policies import PolicyKind
 from .sim import build_job_stream, check_couplings, simulate
+
+
+# M/M/2 at half load: the Erlang-C reference case.
+MM2 = SystemConfig(n=2, types=(JobTypeSpec(1.0, 1.0, 1),))
+
+# n=6, needs (1, 3), slack 3.09 > l_max: the CTMC-oracle reference config.
+# Most load sits on the small type so both queue lengths are far from
+# rare-event territory and batch means behave.
+TWO_TYPE = SystemConfig(n=6, types=(JobTypeSpec(2.76, 1.0, 1),
+                                    JobTypeSpec(0.05, 1.0, 3)))
 
 
 @dataclass(frozen=True)
@@ -45,34 +58,36 @@ def suite_coupling(config=None, seeds=range(5),
     return out
 
 
-def suite_oracle(seed=0, jobs=200_000) -> list[CheckOutcome]:
-    """Simulation against the Erlang-C and truncated-CTMC references."""
-    out = []
-    mm2 = SystemConfig(n=2, types=(JobTypeSpec(1.0, 1.0, 1),))
-    ref = erlang_c(2, 1.0, 1.0)["mean_wait"]
-    r = simulate(PolicyKind.FCFS, mm2, build_job_stream(seed, jobs, mm2))
-    est = stats.mean_waiting_time(r, mm2)["overall"]
-    out.append(_outcome("erlang_c_mm2", est.contains(ref),
-                        f"est {est.mean:.4f} +- {est.half_width:.4f}, ref {ref:.4f}"))
+def suite_erlang_c(seed=0, jobs=200_000) -> list[CheckOutcome]:
+    """FCFS mean wait on ``MM2`` against the Erlang-C formula."""
+    (t,) = MM2.types
+    ref = erlang_c(MM2.n, t.arrival_rate, t.service_rate)["mean_wait"]
+    r = simulate(PolicyKind.FCFS, MM2, build_job_stream(seed, jobs, MM2))
+    est = stats.mean_waiting_time(r, MM2)["overall"]
+    return [_outcome("erlang_c_mm2", est.contains(ref),
+                     f"est {est.mean:.4f} +- {est.half_width:.4f}, ref {ref:.4f}")]
 
-    two_type = SystemConfig(n=6, types=(JobTypeSpec(2.76, 1.0, 1),
-                                        JobTypeSpec(0.05, 1.0, 3)))
-    sol = ctmc_stationary_auto(two_type)
-    out.append(_outcome("ctmc_contracts",
-                        sol.residual_inf < 1e-10 and not sol.truncation_limited,
-                        f"residual {sol.residual_inf:.2e}, tail {sol.tail_mass_bound:.2e}"))
-    r2 = simulate(PolicyKind.SNF, two_type, build_job_stream(seed, jobs, two_type))
-    for i in range(2):
-        est = stats.from_batch_values(r2.batch_q[:, i])
+
+def suite_ctmc(seed=0, jobs=200_000) -> list[CheckOutcome]:
+    """The certified truncated-CTMC solution of ``TWO_TYPE``, then SNF's
+    per-type queue lengths against it."""
+    sol = ctmc_stationary_auto(TWO_TYPE)
+    out = [_outcome("ctmc_contracts",
+                    sol.residual_inf < 1e-10 and not sol.truncation_limited,
+                    f"residual {sol.residual_inf:.2e}, tail {sol.tail_mass_bound:.2e}")]
+    r = simulate(PolicyKind.SNF, TWO_TYPE, build_job_stream(seed, jobs, TWO_TYPE))
+    for i in range(TWO_TYPE.num_types):
+        est = stats.from_batch_values(r.batch_q[:, i])
         out.append(_outcome(
             f"ctmc_queue_type{i + 1}", est.contains(sol.mean_q[i]),
             f"est {est.mean:.5f} +- {est.half_width:.5f}, ctmc {sol.mean_q[i]:.5f}"))
     return out
 
 
-def suite_drift(seed=0, jobs=200_000) -> list[CheckOutcome]:
-    """Per-type in-service counts against the flow-balance identity."""
-    config = make_param_set(ParamSet.ONE, 64)
+def suite_drift(config=None, seed=0, jobs=200_000) -> list[CheckOutcome]:
+    """Per-type in-service counts against the flow-balance identity under
+    every finite-server policy; ``config`` defaults to set one at n=64."""
+    config = config or make_param_set(ParamSet.ONE, 64)
     out = []
     stream = build_job_stream(seed, jobs, config)
     for policy in (PolicyKind.FCFS, PolicyKind.SNF, PolicyKind.SNF_NP,
@@ -130,7 +145,7 @@ def _phi_at_arrivals(result, config, c):
 
 SUITES = {
     "coupling": suite_coupling,
-    "oracle": suite_oracle,
+    "oracle": lambda: suite_erlang_c() + suite_ctmc(),
     "drift": suite_drift,
     "tails": suite_tails,
 }

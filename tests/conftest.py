@@ -1,6 +1,8 @@
 import pytest
 
-from msjlab import JobTypeSpec, ParamSet, SystemConfig, make_param_set
+from msjlab import (CtmcSpec, JobTypeSpec, ParamSet, SystemConfig,
+                    make_param_set, snf_allocation_fn)
+from msjlab import verify
 
 
 @pytest.fixture(scope="session")
@@ -10,8 +12,7 @@ def set_one_64():
 
 @pytest.fixture(scope="session")
 def mm2():
-    # M/M/2 at half load: the Erlang-C reference case
-    return SystemConfig(n=2, types=(JobTypeSpec(1.0, 1.0, 1),))
+    return verify.MM2
 
 
 @pytest.fixture(scope="session")
@@ -22,8 +23,13 @@ def whole_machine():
 
 @pytest.fixture(scope="session")
 def two_type():
-    # n=6, needs (1, 3), slack 3.09 > l_max: CTMC-oracle reference config.
-    # Most load sits on the small type so both queue lengths are far from
-    # rare-event territory and batch means behave.
-    return SystemConfig(n=6, types=(JobTypeSpec(2.76, 1.0, 1),
-                                    JobTypeSpec(0.05, 1.0, 3)))
+    return verify.TWO_TYPE
+
+
+@pytest.fixture(scope="session")
+def box_spec():
+    # the three-type SNF box of the benchmark's oracle workload (9,261 states)
+    box = SystemConfig(n=8, types=(JobTypeSpec(1.2, 1.0, 1),
+                                   JobTypeSpec(0.6, 1.0, 2),
+                                   JobTypeSpec(0.25, 1.0, 4)))
+    return CtmcSpec(config=box, allocation=snf_allocation_fn(box), cap=(20, 20, 20))

@@ -1,6 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
-The expensive study runs (criteria 8-11) are shared through session fixtures.
+Criteria 1, 3-6 and 12 run the checks of ``msjlab.verify`` at their own
+seeds, job counts and thresholds. The expensive study runs (criteria 8-11)
+are shared through session fixtures.
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines; the whole module takes several minutes at the pinned run lengths.
 """
@@ -10,14 +12,12 @@ import math
 import numpy as np
 import pytest
 
-from msjlab import (DOMINANCE_SYSTEMS, ParamSet, PolicyKind,
-                    build_job_stream, check_infinite_server_dominance,
-                    check_sandwich, ctmc_stationary_auto, derive_params,
-                    erlang_c, make_param_set, mean_waiting_time,
-                    sandwich_systems, simulate, simulate_coupled)
+from msjlab import (ParamSet, PolicyKind, build_job_stream, derive_params,
+                    make_param_set, mean_waiting_time, simulate)
 from msjlab import stats
 from msjlab.cli import SweepSpec, run_sweep, write_csv
-from msjlab.verify import suite_tails
+from msjlab.verify import (suite_coupling, suite_ctmc, suite_drift,
+                           suite_erlang_c, suite_tails)
 
 
 def report(num, name, passed, detail=""):
@@ -61,16 +61,11 @@ def _wait(entry):
 
 # --- criteria -------------------------------------------------------------
 
-def test_criterion_01_erlang_c_match(mm2):
-    ref = erlang_c(2, 1.0, 1.0)["mean_wait"]
-    hits = 0
-    for seed in range(20):
-        result = simulate(PolicyKind.FCFS, mm2,
-                          build_job_stream(seed, 2_000_000, mm2))
-        est = mean_waiting_time(result, mm2)["overall"]
-        hits += est.contains(ref)
+def test_criterion_01_erlang_c_match():
+    outcomes = [o for seed in range(20) for o in suite_erlang_c(seed, 2_000_000)]
+    hits = sum(o.passed for o in outcomes)
     report(1, "Erlang-C oracle match (M/M/2, 2e6 jobs, 20 seeds)",
-           hits >= 18, f"{hits}/20 CIs contain 1/3")
+           hits >= 18, f"{hits}/{len(outcomes)} CIs contain 1/3")
 
 
 def test_criterion_02_whole_machine_mm1(whole_machine):
@@ -86,62 +81,44 @@ def test_criterion_02_whole_machine_mm1(whole_machine):
            all(ok for _, ok, _ in outcomes), detail)
 
 
-def test_criterion_03_ctmc_oracle_equivalence(two_type):
-    sol = ctmc_stationary_auto(two_type)
-    assert sol.residual_inf < 1e-10
-    assert sol.tail_mass_bound < 1e-8
-    hits = 0
-    for seed in range(20):
-        result = simulate(PolicyKind.SNF, two_type,
-                          build_job_stream(seed, 250_000, two_type))
-        hits += all(
-            stats.from_batch_values(result.batch_q[:, i]).contains(sol.mean_q[i])
-            for i in range(2))
-    report(3, "CTMC oracle equivalence (SNF, 2 types)", hits >= 18,
-           f"{hits}/20 seeds contain both E[Q_i]; residual "
-           f"{sol.residual_inf:.1e}, tail {sol.tail_mass_bound:.1e}")
+def test_criterion_03_ctmc_oracle_equivalence():
+    runs = [suite_ctmc(seed, 250_000) for seed in range(20)]
+    contracts = runs[0][0]  # every run solves the same chain first
+    hits = sum(all(o.passed for o in run[1:]) for run in runs)
+    report(3, "CTMC oracle equivalence (SNF, 2 types)",
+           contracts.passed and hits >= 18,
+           f"{hits}/20 seeds contain both E[Q_i]; {contracts.detail}")
 
 
 def test_criterion_04_sandwich_exactness():
-    ok = True
-    for n in (64, 256):
-        config = make_param_set(ParamSet.ONE, n)
-        for seed in range(5):
-            stream = build_job_stream(seed, 100_000, config)
-            ok &= check_sandwich(
-                simulate_coupled(sandwich_systems(config), config, stream))
-    report(4, "waiting-time sandwich, zero tolerance (n in {64,256}, 5 seeds)",
-           ok, "every job, exact comparison")
+    outcomes = [o for n in (64, 256) for o in suite_coupling(
+        make_param_set(ParamSet.ONE, n), range(5), 100_000)]
+    report(4, "waiting-time sandwich and infinite-server dominance, zero "
+           "tolerance (n in {64,256}, 5 seeds)",
+           all(o.passed for o in outcomes),
+           f"{len(outcomes)} checks, every job, exact comparison")
 
 
 def test_criterion_05_infinite_server_dominance(set_one_64):
-    stream = build_job_stream(0, 500_000, set_one_64)
-    pair = simulate_coupled(DOMINANCE_SYSTEMS, set_one_64, stream)
-    dominance = check_infinite_server_dominance(pair)
+    pathwise = all(o.passed for o in suite_coupling(set_one_64, (0,), 500_000))
+    result = simulate(PolicyKind.INFINITE_SERVER, set_one_64,
+                      build_job_stream(0, 500_000, set_one_64))
     marginals = all(
-        stats.from_batch_values(pair[0].batch_x[:, i]).contains(
+        stats.from_batch_values(result.batch_x[:, i]).contains(
             t.arrival_rate / t.service_rate)
         for i, t in enumerate(set_one_64.types))
-    report(5, "infinite-server dominance and Poisson marginals",
-           dominance and marginals,
-           f"pathwise={dominance}, marginal CIs={marginals}")
+    report(5, "infinite-server dominance, sandwich and Poisson marginals",
+           pathwise and marginals,
+           f"pathwise={pathwise}, marginal CIs={marginals}")
 
 
 def test_criterion_06_drift_identity():
-    failures = []
-    for n in (64, 256):
-        config = make_param_set(ParamSet.ONE, n)
-        stream = build_job_stream(0, 400_000, config)
-        for policy in (PolicyKind.FCFS, PolicyKind.SNF, PolicyKind.SNF_NP,
-                       PolicyKind.MODIFIED_FCFS):
-            result = simulate(policy, config, stream)
-            for i, t in enumerate(config.types):
-                est = stats.from_batch_values(result.batch_z[:, i])
-                if not est.contains(t.arrival_rate / t.service_rate):
-                    failures.append((n, policy.value, i + 1))
+    outcomes = [(n, o) for n in (64, 256) for o in suite_drift(
+        make_param_set(ParamSet.ONE, n), 0, 400_000)]
+    failures = [f"n={n} {o.name}" for n, o in outcomes if not o.passed]
     report(6, "flow-balance identity E[Z_i] = lambda_i/mu_i, all policies",
            not failures, f"failures: {failures}" if failures else
-           "24/24 CIs contain the target")
+           f"{len(outcomes)}/{len(outcomes)} CIs contain the target")
 
 
 def test_criterion_07_queue_fraction_identity():

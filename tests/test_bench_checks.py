@@ -20,6 +20,8 @@ from pathlib import Path
 
 import pytest
 
+from msjlab import verify
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -58,3 +60,12 @@ def test_checks_pass_traced_and_untraced(name):
         assert metrics[0][key] == metrics[1][key], key
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
     assert {*metrics[0], "tracing.overhead_s"} == {m["name"] for m in declared}
+
+
+def test_benchmark_builds_the_reference_configs(box_spec):
+    # perfbench keeps its own copies of these configs; a drifted copy would
+    # time a chain the tests no longer check
+    state = workloads.setup_oracle(workloads.DEFAULT_SEED)
+    assert state["two_type"] == verify.TWO_TYPE
+    assert state["box"] == box_spec.config
+    assert workloads.BOX_CAP == box_spec.cap

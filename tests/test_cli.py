@@ -1,11 +1,12 @@
 import csv
+import hashlib
 import io
 import json
 
 import pytest
 from click.testing import CliRunner
 
-from msjlab import cli, verify
+from msjlab import ConfigError, cli, verify
 from msjlab.cli import CSV_COLUMNS, SweepSpec, main, run_sweep
 
 EXPECTED_COLUMNS = [
@@ -161,17 +162,19 @@ class TestSweep:
             assert len(row) == len(CSV_COLUMNS)
             assert row[CSV_COLUMNS.index("param_set")] == str(cfg)
 
-    def test_comma_in_cell_error_is_quoted(self):
-        rows = run_sweep(SweepSpec(param_set="one", n_list=(64,),
-                                   policies=("fcfs",), seeds=(0,), jobs=400,
-                                   warmup=1.5))
+    def test_comma_in_cell_error_is_quoted(self, tmp_path):
+        one = tmp_path / "one.json"  # n=1: the bounds row carries an error
+        one.write_text(json.dumps({"n": 1, "types": [
+            {"lambda": 0.5, "mu": 1.0, "l": 1}]}))
+        rows = run_sweep(SweepSpec(param_set=str(one), n_list=(1,),
+                                   policies=("fcfs",), seeds=(0,), jobs=400))
         buf = io.StringIO()
         cli.write_csv(rows, buf)
         parsed = _csv_rows(buf.getvalue())
         assert [len(r) for r in parsed] == [len(CSV_COLUMNS)] * 2
         errors = {r[0]: r[CSV_COLUMNS.index("error")] for r in parsed}
-        assert errors["sim"] == ("ValueError: warmup fraction must lie in "
-                                 "[0, 1), got 1.5")
+        assert errors["bounds"] == ("ConfigError: the closed-form bounds "
+                                    "need n >= 2, got n=1")
 
     def test_large_n_needs_opt_in(self, runner):
         res = runner.invoke(main, ["sweep", "--param-set", "one", "--n",
@@ -201,6 +204,16 @@ class TestSweep:
             SweepSpec(param_set="one", n_list=(64,), policies=("fcfs",),
                       seeds=(0,), jobs=100)
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("warmup", 1.5, "warmup fraction must lie in"),
+        ("batches", 0, "need at least 2 batches, got 0"),
+        ("batches", 1, "need at least 2 batches, got 1")],
+        ids=["warmup-1.5", "batches-0", "batches-1"])
+    def test_bad_batch_settings_refused(self, field, value, message):
+        with pytest.raises(ConfigError, match=message):
+            SweepSpec(param_set="one", n_list=(64,), policies=("fcfs",),
+                      seeds=(0,), jobs=2000, **{field: value})
+
     def test_worker_pool_matches_serial(self):
         spec = dict(param_set="one", n_list=(64,), policies=("fcfs",),
                     seeds=(0, 1), jobs=2000)
@@ -229,18 +242,33 @@ class TestBounds:
         assert "absent" in doc["fcfs_wait_upper"]
 
 
+# sha256 of the full stdout of ``msjlab verify --suite S``
+VERIFY_STDOUT_SHA256 = {
+    "coupling": "e71103dc94b7da9fdb03c421d573dea0c0d24f800b546dac86ad732d2d232db9",
+    "oracle": "fda0cda2a66d6e810b7e82031b1b2dbb717238c6baeccf9b01fc430c72c21a23",
+    "drift": "a0cdffd3d2459524cfbb8453df6c86a912a40bfa01e0e6fa342c87b5dd74f7e0",
+    "tails": "4d8b66d3beccd3514ea042ce3423d60bc32c6d36818c84fae3fe0cb4fcfa9c42",
+}
+
+
+def _verify_stdout(runner, suite):
+    """The stdout of a passing ``verify --suite``, checked against its pin."""
+    res = runner.invoke(main, ["verify", "--suite", suite])
+    assert res.exit_code == 0, res.output
+    digest = hashlib.sha256(res.stdout.encode()).hexdigest()
+    assert digest == VERIFY_STDOUT_SHA256[suite], res.stdout
+    return res.stdout
+
+
 class TestVerifyAndCouple:
     def test_verify_coupling_passes(self, runner):
-        res = runner.invoke(main, ["verify", "--suite", "coupling"])
-        assert res.exit_code == 0, res.output
-        assert "10/10 checks passed" in res.output
+        assert "10/10 checks passed" in _verify_stdout(runner, "coupling")
 
     @pytest.mark.parametrize("suite,tally", [
-        ("oracle", "4/4 checks passed"), ("drift", "12/12 checks passed")])
+        ("oracle", "4/4 checks passed"), ("drift", "12/12 checks passed"),
+        ("tails", "4/4 checks passed")])
     def test_verify_suite_passes(self, runner, suite, tally):
-        res = runner.invoke(main, ["verify", "--suite", suite])
-        assert res.exit_code == 0, res.output
-        assert tally in res.output
+        assert tally in _verify_stdout(runner, suite)
 
     @pytest.mark.parametrize("args,jobs,tally", [
         (["couple", "--n", "64", "--jobs", "500", "--seed", "0", "--seed",

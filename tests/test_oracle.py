@@ -4,21 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from msjlab import (CtmcSpec, JobTypeSpec, PolicyKind, SystemConfig,
-                    build_job_stream, ctmc_stationary, ctmc_stationary_auto,
-                    erlang_c, simulate, snf_allocation_fn)
-from msjlab import oracle, stats
+from msjlab import (CtmcSpec, JobTypeSpec, SystemConfig, ctmc_stationary,
+                    ctmc_stationary_auto, erlang_c, snf_allocation_fn)
+from msjlab import oracle
 from msjlab.oracle import default_caps
 from reference import mm1_whole_machine
-
-
-@pytest.fixture(scope="module")
-def box_spec():
-    # the three-type SNF box of the benchmark's oracle workload (9,261 states)
-    box = SystemConfig(n=8, types=(JobTypeSpec(1.2, 1.0, 1),
-                                   JobTypeSpec(0.6, 1.0, 2),
-                                   JobTypeSpec(0.25, 1.0, 4)))
-    return CtmcSpec(config=box, allocation=snf_allocation_fn(box), cap=(20, 20, 20))
 
 
 def _solve(name, request):
@@ -164,13 +154,8 @@ class TestCtmc:
         exact = rho**k * (1 - rho) / (1 - rho ** (cap + 1))
         np.testing.assert_allclose(sol.pi, exact, rtol=0, atol=1e-12)
 
-    def test_box_chain_mean_q_pinned(self):
-        # the three-type SNF box of the benchmark's oracle workload (9,261 states)
-        box = SystemConfig(n=8, types=(JobTypeSpec(1.2, 1.0, 1),
-                                       JobTypeSpec(0.6, 1.0, 2),
-                                       JobTypeSpec(0.25, 1.0, 4)))
-        sol = ctmc_stationary(CtmcSpec(config=box, allocation=snf_allocation_fn(box),
-                                       cap=(20, 20, 20)))
+    def test_box_chain_mean_q_pinned(self, box_spec):
+        sol = ctmc_stationary(box_spec)
         np.testing.assert_allclose(
             sol.mean_q,
             [6.668514842322892e-06, 0.010607757197807377, 0.16287858074771328],
@@ -247,11 +232,3 @@ def test_dissection_order_puts_the_top_separator_last(dims):
     assert lower.max() < upper.min()
     assert upper.max() < plane.min()
 
-
-def test_ctmc_vs_simulation_quick(two_type):
-    sol = ctmc_stationary_auto(two_type)
-    result = simulate(PolicyKind.SNF, two_type,
-                      build_job_stream(0, 150_000, two_type))
-    for i in range(2):
-        est = stats.from_batch_values(result.batch_q[:, i])
-        assert est.contains(sol.mean_q[i]), (i, est, sol.mean_q[i])

@@ -5,18 +5,10 @@ import pytest
 
 from msjlab import (DOMINANCE_SYSTEMS, PolicyKind, build_job_stream,
                     check_couplings, check_infinite_server_dominance,
-                    check_sandwich, derive_params, erlang_c,
-                    mean_waiting_time, sandwich_systems, simulate,
-                    simulate_coupled)
+                    check_sandwich, derive_params, mean_waiting_time,
+                    sandwich_systems, simulate, simulate_coupled)
 from msjlab import sim, stats
 from reference import audit_work_conservation
-
-
-def test_mm2_fcfs_matches_erlang_c(mm2):
-    stream = build_job_stream(0, 400_000, mm2)
-    result = simulate(PolicyKind.FCFS, mm2, stream)
-    est = mean_waiting_time(result, mm2)["overall"]
-    assert est.contains(erlang_c(2, 1.0, 1.0)["mean_wait"])
 
 
 @pytest.mark.parametrize("policy", [PolicyKind.FCFS, PolicyKind.SNF,
@@ -34,6 +26,8 @@ def test_warmup_validation(mm2):
         simulate(PolicyKind.FCFS, mm2, stream, warmup=1.0)
     with pytest.raises(ValueError):
         simulate(PolicyKind.FCFS, mm2, stream, warmup=-0.1)
+    with pytest.raises(ValueError, match="at least 2 batches"):
+        simulate(PolicyKind.FCFS, mm2, stream, batches=1)
 
 
 def test_need_exceeding_servers_rejected(whole_machine):
@@ -65,10 +59,6 @@ class TestSandwich:
     def triple(self, config, stream):
         return simulate_coupled(sandwich_systems(config), config, stream)
 
-    def test_holds_pathwise(self, set_one_64):
-        stream = build_job_stream(0, 50_000, set_one_64)
-        assert check_sandwich(self.triple(set_one_64, stream)) is True
-
     def test_single_job(self, set_one_64):
         stream = build_job_stream(0, 1, set_one_64)
         res = self.triple(set_one_64, stream)
@@ -97,11 +87,6 @@ class TestSandwich:
 
 
 class TestInfiniteServerDominance:
-    def test_holds_pathwise(self, set_one_64):
-        stream = build_job_stream(2, 50_000, set_one_64)
-        pair = simulate_coupled(DOMINANCE_SYSTEMS, set_one_64, stream)
-        assert check_infinite_server_dominance(pair) is True
-
     def test_poisson_marginals(self, set_one_64):
         stream = build_job_stream(0, 200_000, set_one_64)
         result = simulate(PolicyKind.INFINITE_SERVER, set_one_64, stream)
@@ -140,15 +125,6 @@ def test_fcfs_no_overtaking(set_one_64):
     result = simulate(PolicyKind.FCFS, set_one_64, stream)
     starts = result.arrivals + result.waits
     assert np.all(np.diff(starts) >= 0)
-
-
-def test_drift_identity(set_one_64):
-    stream = build_job_stream(0, 200_000, set_one_64)
-    for policy in (PolicyKind.FCFS, PolicyKind.SNF):
-        result = simulate(policy, set_one_64, stream)
-        for i, t in enumerate(set_one_64.types):
-            est = stats.from_batch_values(result.batch_z[:, i])
-            assert est.contains(t.arrival_rate / t.service_rate), (policy, i)
 
 
 def test_little_law_self_consistency(set_one_64):

@@ -92,12 +92,6 @@ def test_from_batch_values():
 
 
 class TestMeanWaitingTime:
-    def test_mm2_within_ci(self, mm2):
-        result = simulate(PolicyKind.FCFS, mm2,
-                          build_job_stream(0, 300_000, mm2))
-        est = mean_waiting_time(result, mm2)["overall"]
-        assert est.contains(erlang_c(2, 1.0, 1.0)["mean_wait"])
-
     def test_whole_machine_within_ci(self, whole_machine):
         result = simulate(PolicyKind.FCFS, whole_machine,
                           build_job_stream(0, 300_000, whole_machine))
