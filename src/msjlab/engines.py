@@ -11,8 +11,8 @@ queueing-probability indicator and the work-conservation audit.
 Inner-loop convention: the event loops touch a few array elements per event,
 and indexing a numpy array boxes a fresh numpy scalar on every read, which
 would dominate their cost.  So every per-event input is read through a
-zero-copy ``memoryview`` of its contiguous float64/int64 array (indexing
-yields a plain ``float``/``int``), per-job outputs are written into
+zero-copy ``memoryview`` of its contiguous float64/int64 array (indexing or
+iterating yields plain ``float``/``int``), per-job outputs go into
 ``array("d")`` buffers handed back as numpy arrays with ``np.frombuffer``,
 and small per-job state lives in lists.  The arithmetic is the same IEEE
 double arithmetic in the same order, so results are bit-identical to a loop
@@ -30,12 +30,18 @@ above ``idle``: an arrival starts if it fits and otherwise only queues, and a
 departure scans the queues only once ``idle`` reaches ``min_wait``, the
 smallest waiting need.
 
-Array convention in the statistics layer: 2-D arrays are gathered with
-``np.take(..., axis=0)`` and filtered with ``np.compress(..., axis=0)``,
-which copy the same values much faster than fancy or boolean indexing, and
-a bin integral writes overlaps only into the slice of intervals that can
-meet the bin, then sums the whole zero-padded buffer, so each sum adds the
-same terms in the same order as a pass over every interval.
+Array convention in the statistics layer: arrays are gathered with
+``np.take`` and filtered with ``np.compress``, which copy the same values
+much faster than fancy or boolean indexing, and a bin integral writes
+overlaps only into the slice of intervals that can meet the bin, then sums
+the whole zero-padded buffer, so each sum adds the same terms in the same
+order as a pass over every interval.
+
+The merged epoch sweep of ``collect_stats`` presorts the departures, so its
+stable sort merges runs that are mostly in order, and sums int64 jumps in
+place.  Every jump is an integer, so every cumulative sum is exact and the
+sum at each distinct time is the same in any row order: ``t_ep``, the
+``qprob`` integrand and the audit keep their bits.
 """
 
 from __future__ import annotations
@@ -69,35 +75,31 @@ def hol_start_times(arrivals, services, job_needs, n, admit_needs) -> np.ndarray
     previous job's start, at which the busy-server count is at most
     ``n - admit_needs[k]``.  FCFS passes the job's own need; Modified-FCFS
     passes the maximal need for every job.
+
+    Departures leave the heap lazily, earliest first and only while
+    ``busy`` exceeds the limit; the start moves up to each one popped.
+    ``busy`` may still count departures due by the start, an upper bound on
+    the exact count, so a job it admits is admitted under the exact count
+    too.  After an admission the heap holds needs summing to at most n.
     """
-    num = len(arrivals)
-    arrivals = _view(arrivals)
-    services = _view(services)
-    job_needs = _view(job_needs)
-    admit_needs = _view(admit_needs)
-    starts = _zeros(num)
+    lims = n - np.asarray(admit_needs, dtype=np.int64)
+    starts = array("d")
+    push = starts.append
     heap: list[tuple[float, int]] = []
     busy = 0
-    t_prev = 0.0
-    for k in range(num):
-        t = arrivals[k]
-        if t < t_prev:
-            t = t_prev
-        while heap and heap[0][0] <= t:
-            busy -= heappop(heap)[1]
-        lim = n - admit_needs[k]
+    t = 0.0
+    for a, service, need, lim in zip(_view(arrivals), _view(services),
+                                     _view(job_needs), _view(lims)):
+        if a > t:
+            t = a
         while busy > lim:
             d, l = heappop(heap)
             busy -= l
             if d > t:
                 t = d
-            while heap and heap[0][0] <= t:
-                busy -= heappop(heap)[1]
-        starts[k] = t
-        need = job_needs[k]
+        push(t)
         busy += need
-        heappush(heap, (t + services[k], need))
-        t_prev = t
+        heappush(heap, (t + service, need))
     return np.frombuffer(starts)
 
 
@@ -362,15 +364,21 @@ def step_function(times, deltas):
     Returns the distinct change times in increasing order and the value after
     all changes at each of them (value 0 before the first).  The sort is
     stable; ``deltas`` may carry one column per step function sharing the
-    change times.
+    change times.  Jumps of 64 bits are summed in place; narrower integer
+    jumps are summed in int64.
     """
     order = np.argsort(times, kind="stable")
-    t = times[order]
-    values = np.cumsum(np.take(deltas, order, axis=0), axis=0)
+    t = np.take(times, order)
+    values = np.take(deltas, order, axis=0)
+    del order  # lowers the peak memory of a long sweep
+    if values.dtype.itemsize < 8:
+        values = np.cumsum(values, axis=0)
+    else:
+        np.cumsum(values, axis=0, out=values)
     keep = np.empty(len(t), dtype=bool)
     keep[:-1] = t[1:] != t[:-1]
     keep[-1:] = True
-    return t[keep], np.compress(keep, values, axis=0)
+    return np.compress(keep, t), np.compress(keep, values, axis=0)
 
 
 def step_at(t, values, query, side="right"):
@@ -383,7 +391,7 @@ def step_at(t, values, query, side="right"):
 def count_steps(lo, hi, types, num_types):
     """Per-type number of intervals [lo[k], hi[k]) covering each time, as
     one step function with a column per type."""
-    # int8 jumps keep the sorted copy small; cumsum widens them to int64
+    # int8 jumps keep the sorted copy small; step_function widens them
     onehot = (types[:, None] == np.arange(num_types)).astype(np.int8)
     return step_function(np.concatenate([lo, hi]),
                          np.concatenate([onehot, -onehot]))
@@ -393,7 +401,7 @@ def in_service_steps(zlog, num_types):
     """Per type, the in-service count of an SNF ``zlog`` as a step function
     (change times, count after each change)."""
     zt, zi, zdz = zlog
-    return [(zt[mask], np.cumsum(zdz[mask]))
+    return [(np.compress(mask, zt), np.cumsum(np.compress(mask, zdz)))
             for mask in (zi == i for i in range(num_types))]
 
 
@@ -415,15 +423,16 @@ def collect_stats(*, arrivals, departures, types, needs, mus, n_servers,
     edges = np.linspace(t0, t1, batches + 1)
     bin_len = span / batches
 
-    needs_f = np.asarray(needs, dtype=np.float64)
+    needs = np.asarray(needs, dtype=np.int64)
     batch_x = np.empty((batches, num_types))
     batch_z = np.empty((batches, num_types))
     for i in range(num_types):
         mask = types == i
-        batch_x[:, i] = _bin_integrals(arrivals[mask], departures[mask], edges)
+        deps_i = np.compress(mask, departures)
+        batch_x[:, i] = _bin_integrals(np.compress(mask, arrivals), deps_i, edges)
         if zlog is None:
-            batch_z[:, i] = _bin_integrals(service_starts[mask], departures[mask],
-                                           edges)
+            batch_z[:, i] = _bin_integrals(np.compress(mask, service_starts),
+                                           deps_i, edges)
     if zlog is not None:
         for i, (ts, cum) in enumerate(in_service_steps(zlog, num_types)):
             batch_z[:, i] = _step_integrals(ts, cum, edges)
@@ -432,37 +441,36 @@ def collect_stats(*, arrivals, departures, types, needs, mus, n_servers,
     batch_q = batch_x - batch_z
 
     # merged epoch sweep for total server need, busy servers, audit,
-    # P(queueing); every delta is integer-valued, so the cumulative sums are
-    # exact in any row order and equal times may be listed in any order
-    job_needs = needs_f[types]
-    num = len(job_needs)
-    if zlog is None:
-        times = np.concatenate([arrivals, service_starts, departures])
-        deltas = np.zeros((3 * num, 2))
-        deltas[num:2 * num, 1] = job_needs
-        deltas[2 * num:] = -job_needs[:, None]
-    else:
-        zt, zi, zdz = zlog
-        times = np.concatenate([arrivals, departures, zt])
-        deltas = np.zeros((2 * num + len(zt), 2))
-        deltas[num:2 * num, 0] = -job_needs
-        deltas[2 * num:, 1] = needs_f[zi] * zdz
+    # P(queueing); see the module docstring
+    job_needs = needs[types]
+    by_dep = np.argsort(departures, kind="stable")
+    zt = service_starts if zlog is None else zlog[0]
+    num, m = len(types), len(zt)
+    times = np.concatenate([arrivals, zt, np.take(departures, by_dep)])
+    deltas = np.zeros((len(times), 2), dtype=np.int64)
     deltas[:num, 0] = job_needs
+    deltas[num + m:, 0] = -np.take(job_needs, by_dep)
+    if zlog is None:
+        deltas[num:num + m, 1] = job_needs
+        deltas[num + m:, 1] = deltas[num + m:, 0]
+    else:  # the zlog already holds the in-service departures
+        deltas[num:num + m, 1] = needs[zlog[1]] * zlog[2]
     t_ep, sums = step_function(times, deltas)
     sx, sz = sums[:, 0], sums[:, 1]
 
     batch_qprob = _step_integrals(t_ep, sx >= n_servers, edges) / bin_len
 
-    in_window = (t_ep >= t0) & (t_ep <= t1)
-    slack = sz - np.minimum(sx, n_servers - int(max(needs)))
-    slack_w = slack[in_window]
+    # t_ep is sorted, so the epochs in [t0, t1] are one slice of it
+    w = slice(np.searchsorted(t_ep, t0, "left"),
+              np.searchsorted(t_ep, t1, "right"))
+    slack_w = sz[w] - np.minimum(sx[w], n_servers - int(needs.max()))
     if len(slack_w):
         audit = AuditResult(violations=int((slack_w < 0).sum()),
                             worst_slack=float(slack_w.min()))
     else:
         audit = AuditResult(violations=0, worst_slack=float("inf"))
 
-    lam_mu = needs_f / np.asarray(mus, dtype=np.float64)
+    lam_mu = needs / np.asarray(mus, dtype=np.float64)
     batch_workload = batch_q @ lam_mu
     return {
         "batch_x": batch_x,

@@ -228,22 +228,25 @@ def check_infinite_server_dominance(coupled) -> bool:
     """Pathwise per-type dominance of the infinite-server system.
 
     Expects [infinite-server result, finite-system result] from a coupled
-    run; true iff the infinite-server job count is <= the finite system's,
-    per type, at every event epoch of either system.
+    run, sharing arrivals and types; true iff the infinite-server job count
+    is <= the finite system's, per type, at every time.  That holds iff the
+    k-th earliest infinite-server departure of each type is no later than
+    the finite system's k-th, for every k.
     """
     if len(coupled) != 2:
         raise ValueError("expected [infinite-server, finite] results")
     inf_res, fin_res = coupled
     if len(inf_res.waits) != len(fin_res.waits):
         raise ValueError("coupled results have mismatched job counts")
-    num_types = inf_res.batch_x.shape[1]
-    ti, ci = engines.count_steps(inf_res.arrivals, inf_res.departures,
-                                 inf_res.types, num_types)
-    tf, cf = engines.count_steps(fin_res.arrivals, fin_res.departures,
-                                 fin_res.types, num_types)
-    epochs = np.union1d(ti, tf)
-    return not np.any(engines.step_at(ti, ci, epochs)
-                      > engines.step_at(tf, cf, epochs))
+    if not (np.array_equal(inf_res.arrivals, fin_res.arrivals)
+            and np.array_equal(inf_res.types, fin_res.types)):
+        raise ValueError("results are not coupled: arrivals or types differ")
+    for i in range(inf_res.batch_x.shape[1]):
+        mask = inf_res.types == i
+        if np.any(np.sort(np.compress(mask, inf_res.departures))
+                  > np.sort(np.compress(mask, fin_res.departures))):
+            return False
+    return True
 
 
 def check_couplings(config: SystemConfig,

@@ -4,7 +4,8 @@ Each reference config and each check is stated once, here. A check takes
 its seeds and job count, and its config where a caller varies it, and
 returns one outcome per comparison. ``SUITES`` runs the checks at fixed
 seeds and desk-scale job counts; the acceptance test module calls the same
-functions at its own seeds, job counts and thresholds.
+functions at its own seeds, job counts and thresholds.  The Poisson-marginal
+check is the one outside ``SUITES``; only acceptance criterion 5 runs it.
 """
 
 from __future__ import annotations
@@ -56,6 +57,17 @@ def suite_coupling(config=None, seeds=range(5),
         out.append(_outcome(f"waiting-time sandwich {run}", sandwich_ok))
         out.append(_outcome(f"infinite-server dominance {run}", dominance_ok))
     return out
+
+
+def suite_poisson_marginals(config, seed, jobs) -> list[CheckOutcome]:
+    """Infinite-server per-type mean job counts against the Poisson
+    marginals E[X_i] = lambda_i/mu_i."""
+    r = simulate(PolicyKind.INFINITE_SERVER, config,
+                 build_job_stream(seed, jobs, config))
+    return [_outcome(f"poisson_marginal[type{i + 1}]",
+                     stats.from_batch_values(r.batch_x[:, i]).contains(
+                         t.arrival_rate / t.service_rate))
+            for i, t in enumerate(config.types)]
 
 
 def suite_erlang_c(seed=0, jobs=200_000) -> list[CheckOutcome]:

@@ -6,9 +6,10 @@ that should be in service, without mutating anything.  ``reference_run``
 drives them through a deliberately naive event loop that re-schedules after
 every arrival and departure; the fast engines in ``msjlab.engines`` are
 tested against it.  ``audit_work_conservation`` replays the
-delta'-work-conservation audit over (x, z) epochs, and ``mm1_whole_machine``
-gives the closed forms of the system in which every job takes the whole
-machine.
+delta'-work-conservation audit over (x, z) epochs,
+``infinite_server_dominance`` compares the per-type job counts of a coupled
+pair as step functions at every epoch, and ``mm1_whole_machine`` gives the
+closed forms of the system in which every job takes the whole machine.
 """
 
 from __future__ import annotations
@@ -17,7 +18,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from msjlab import derive_params
+import numpy as np
+
+from msjlab import derive_params, engines
 from msjlab.policies import AuditResult, PolicyKind, snf_allocation
 from msjlab.stream import ResampleSource
 
@@ -156,6 +159,21 @@ def audit_work_conservation(
             violations += 1
         worst = min(worst, slack)
     return AuditResult(violations=violations, worst_slack=worst)
+
+
+def infinite_server_dominance(coupled) -> bool:
+    """True iff the infinite-server job count of ``coupled`` =
+    [infinite-server result, finite result] is <= the finite one, per type,
+    after the events at every event epoch of either system."""
+    inf_res, fin_res = coupled
+    num_types = inf_res.batch_x.shape[1]
+    ti, ci = engines.count_steps(inf_res.arrivals, inf_res.departures,
+                                 inf_res.types, num_types)
+    tf, cf = engines.count_steps(fin_res.arrivals, fin_res.departures,
+                                 fin_res.types, num_types)
+    epochs = np.union1d(ti, tf)
+    return not np.any(engines.step_at(ti, ci, epochs)
+                      > engines.step_at(tf, cf, epochs))
 
 
 def mm1_whole_machine(lam: float, mu: float) -> dict:

@@ -1,6 +1,6 @@
 """The step-function builder and lookup shared by the statistics, the
-coupling checkers, the trajectory writer and the verify suites, and the
-bin-integral helper behind the batch statistics."""
+trajectory writer, the verify suites and the reference dominance check, and
+the bin-integral helper behind the batch statistics."""
 
 import numpy as np
 from hypothesis import given, settings

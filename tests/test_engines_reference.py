@@ -8,16 +8,19 @@ departures bit for bit: both sides do the same double arithmetic on the
 same event times.
 The SNF in-service log, from which ``collect_stats`` takes ``batch_z``, the
 audit and ``max_busy``, must give the reference's per-type in-service
-counts after every event, and SNF-NP the reference's start times.
+counts after every event, and SNF-NP the reference's start times.  Hand-made
+streams add the ties of the head-of-line start-time recursion.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from msjlab import (JobTypeSpec, PolicyKind, SystemConfig, build_job_stream,
                     derive_params, simulate_coupled)
 from msjlab import engines
+from msjlab.stream import JobStream
 from reference import reference_run
 
 
@@ -42,10 +45,48 @@ def small_configs(draw):
         for s, mu, l in zip(shares, mus, needs)))
 
 
+def _hand_made(n, types, arrivals, unit_service, type_idx):
+    """A config of (arrival rate, service rate, need) types and a stream
+    whose dyadic times make every sum exact, so ties really tie."""
+    config = SystemConfig(n=n, types=tuple(JobTypeSpec(*t) for t in types))
+    return config, JobStream(seed=0, arrival_times=np.array(arrivals),
+                             unit_service=np.array(unit_service),
+                             type_idx=np.array(type_idx, dtype=np.int64))
+
+
+# Tie cases of the head-of-line recursion, each also run under
+# Modified-FCFS at n like every input: a departure exactly at the next
+# arrival, whose servers that arrival may take at once, and a job whose need
+# is n, so that it is admitted only at an empty machine (limit 0).
+HAND_MADE = {
+    "departure at next arrival": _hand_made(
+        2, [(0.25, 1.0, 1), (0.25, 2.0, 2)],
+        [0.0, 0.25, 1.0, 1.5, 2.0, 2.5, 3.0],
+        [1.0, 1.5, 0.5, 1.0, 1.0, 0.5, 0.5],
+        [0, 1, 0, 1, 0, 0, 1]),
+    "need equals n": _hand_made(
+        1, [(0.5, 1.0, 1)], [0.0, 1.0, 2.0, 3.0], [1.0, 1.0, 0.5, 2.0],
+        [0, 0, 0, 0]),
+    "need equals n, mixed": _hand_made(
+        3, [(0.5, 1.0, 1), (0.125, 0.5, 3)],
+        [0.0, 0.5, 0.75, 1.0, 1.5, 2.5, 4.5],
+        [1.0, 0.5, 0.5, 0.25, 1.0, 0.5, 0.25],
+        [0, 0, 1, 0, 1, 0, 0]),
+}
+
+
 @given(small_configs(), st.integers(1, 300), st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_engines_match_reference_policies(config, jobs, seed):
-    stream = build_job_stream(seed, jobs, config)
+    _check_against_reference(config, build_job_stream(seed, jobs, config))
+
+
+@pytest.mark.parametrize("case", HAND_MADE)
+def test_engines_match_reference_policies_on_ties(case):
+    _check_against_reference(*HAND_MADE[case])
+
+
+def _check_against_reference(config, stream):
     l_max = derive_params(config).l_max
     systems = [(p, config.n) for p in PolicyKind]
     systems.append((PolicyKind.MODIFIED_FCFS, config.n + l_max))

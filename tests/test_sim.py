@@ -8,7 +8,7 @@ from msjlab import (DOMINANCE_SYSTEMS, PolicyKind, build_job_stream,
                     check_sandwich, derive_params, mean_waiting_time,
                     sandwich_systems, simulate, simulate_coupled)
 from msjlab import sim, stats
-from reference import audit_work_conservation
+from reference import audit_work_conservation, infinite_server_dominance
 
 
 @pytest.mark.parametrize("policy", [PolicyKind.FCFS, PolicyKind.SNF,
@@ -87,12 +87,32 @@ class TestSandwich:
 
 
 class TestInfiniteServerDominance:
-    def test_poisson_marginals(self, set_one_64):
-        stream = build_job_stream(0, 200_000, set_one_64)
-        result = simulate(PolicyKind.INFINITE_SERVER, set_one_64, stream)
-        for i, t in enumerate(set_one_64.types):
-            est = stats.from_batch_values(result.batch_x[:, i])
-            assert est.contains(t.arrival_rate / t.service_rate)
+    def pair(self, config, seed, jobs):
+        return simulate_coupled(DOMINANCE_SYSTEMS, config,
+                                build_job_stream(seed, jobs, config))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_reference_on_coupled_pairs(self, seed, set_one_64,
+                                                two_type):
+        for config in (set_one_64, two_type):
+            pair = self.pair(config, seed, 5_000)
+            assert check_infinite_server_dominance(pair) is True
+            assert infinite_server_dominance(pair) is True
+
+    def test_matches_reference_on_hand_made_pairs(self, set_one_64):
+        inf_res, fin_res = self.pair(set_one_64, 1, 2_000)
+        deps = fin_res.departures
+        late = deps.copy()
+        late[7] += 1.0  # one infinite-server departure made later
+        swapped = deps.copy()  # equal times, other jobs of the same type
+        k, m = np.flatnonzero(fin_res.types == fin_res.types[7])[:2]
+        swapped[[k, m]] = swapped[[m, k]]
+        cases = {"violating": (late, False), "equal times": (deps, True),
+                 "equal times, swapped jobs": (swapped, True)}
+        for name, (inf_deps, want) in cases.items():
+            pair = [replace(inf_res, departures=inf_deps), fin_res]
+            assert check_infinite_server_dominance(pair) is want, name
+            assert infinite_server_dominance(pair) is want, name
 
     def test_single_job_trivial(self, set_one_64):
         stream = build_job_stream(2, 1, set_one_64)
@@ -106,6 +126,17 @@ class TestInfiniteServerDominance:
                      build_job_stream(0, 200, set_one_64))
         with pytest.raises(ValueError):
             check_infinite_server_dominance([a, b])
+
+    def test_uncoupled_pair_rejected(self, set_one_64):
+        a = simulate(PolicyKind.INFINITE_SERVER, set_one_64,
+                     build_job_stream(0, 100, set_one_64))
+        b = simulate(PolicyKind.FCFS, set_one_64,
+                     build_job_stream(1, 100, set_one_64))
+        with pytest.raises(ValueError, match="not coupled"):
+            check_infinite_server_dominance([a, b])
+        shared_arrivals = replace(b, arrivals=a.arrivals)  # types still differ
+        with pytest.raises(ValueError, match="not coupled"):
+            check_infinite_server_dominance([a, shared_arrivals])
 
 
 @pytest.mark.parametrize("policy", [PolicyKind.FCFS, PolicyKind.SNF,
