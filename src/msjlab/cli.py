@@ -67,6 +67,13 @@ def _require_distinct(**values) -> None:
             raise ConfigError(f"{name} must not repeat a value")
 
 
+def _require_jobs_per_batch(jobs: int, batches: int) -> None:
+    """Raise ``ConfigError`` below 20 jobs per batch.  The statistics
+    allocate and loop over every batch, so this also bounds ``batches``."""
+    if jobs < 20 * batches:
+        raise ConfigError(f"jobs {jobs} below 20 * batches = {20 * batches}")
+
+
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -167,9 +174,7 @@ class SweepSpec:
         _require_distinct(n_list=self.n_list, policies=self.policies,
                           seeds=self.seeds)
         check_batch_settings(self.warmup, self.batches)
-        if self.jobs < 20 * self.batches:
-            raise ConfigError(
-                f"jobs {self.jobs} below 20 * batches = {20 * self.batches}")
+        _require_jobs_per_batch(self.jobs, self.batches)
 
 
 def run_sweep(spec: SweepSpec) -> list[dict]:
@@ -252,6 +257,7 @@ def shared_options(fn):
               help="write per-event state records to this path")
 def run(param_set, warmup, batches, n, policy, seed, jobs, out, dump_trajectory):
     """Simulate one (policy, config, seed) cell and emit a JSON summary."""
+    _require_jobs_per_batch(jobs, batches)
     config = resolve_config(param_set, n)
     stream = build_job_stream(seed, jobs, config)
     result = simulate(PolicyKind(policy), config, stream, warmup,

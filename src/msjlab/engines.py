@@ -18,18 +18,6 @@ and small per-job state lives in lists.  The arithmetic is the same IEEE
 double arithmetic in the same order, so results are bit-identical to a loop
 over numpy scalars.
 
-When the SNF loops re-pack: ``run_snf`` keeps ``free``, the servers the
-greedy packing leaves idle, and ``gap``, a lower bound over the waiting types
-j of needs[j] minus the servers left after packing j (inf if none waits).  A
-waiting type has fewer than needs[j] servers left and ``free`` is at most
-that, so an arrival with needs[i] <= free outranks every waiting type and
-starts, lowering each later leftover by needs[i]; a departure with needs[i] <
-gap frees too few servers for any waiting job.  Other events re-pack from
-type 0, which sets both exactly.  ``run_snf_np`` keeps every waiting need
-above ``idle``: an arrival starts if it fits and otherwise only queues, and a
-departure scans the queues only once ``idle`` reaches ``min_wait``, the
-smallest waiting need.
-
 Array convention in the statistics layer: arrays are gathered with
 ``np.take`` and filtered with ``np.compress``, which copy the same values
 much faster than fancy or boolean indexing, and a bin integral writes
@@ -49,7 +37,6 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_left
-from collections import deque
 from heapq import heappop, heappush
 
 import numpy as np
@@ -132,8 +119,17 @@ def run_infinite_server(stream: JobStream, needs, mus):
 def run_snf(stream: JobStream, needs, mus, n_servers: int):
     """Preemptive smallest-need-first event loop.
 
-    The allocation is recomputed from the count vector at every event that
-    can change it; within a type the earliest-arrived jobs are in service.
+    Order the jobs in the system by (type, arrival).  The jobs in service are
+    the longest prefix of that order whose needs fit in ``n_servers``; types
+    are in nondecreasing need order, so every job behind the prefix needs at
+    least as many servers as the first one, which does not fit.  Hence an
+    event moves at most one job besides its own: a departure starts the first
+    waiting job if it now fits, and an arrival that lands inside the prefix
+    starts and, if the servers overflow, preempts the prefix's last job, after
+    which the next job needs more than the servers left.  Ties between types
+    of equal need go by type index, so the allocation is the greedy packing of
+    the count vector that ``policies.snf_allocation`` computes.
+
     Preempted jobs re-queue and draw a fresh service clock on resume (role-3
     stream), which is distribution-preserving for exponential service.
 
@@ -141,18 +137,15 @@ def run_snf(stream: JobStream, needs, mus, n_servers: int):
     every change of the in-service count vector in chronological order.
     """
     num = stream.horizon
-    num_types = len(needs)
     arrivals = _view(stream.arrival_times)
     unit_service = _view(stream.unit_service)
     type_of = _view(stream.type_idx)
     needs_l = [int(v) for v in needs]
     mus_l = [float(v) for v in mus]
 
-    in_system: list[list[int]] = [[] for _ in range(num_types)]
-    x = [0] * num_types
-    z = [0] * num_types
+    keys: list[int] = []  # type * num + job id of every job in the system
+    b = 0  # keys[:b] are in service
     free = n_servers
-    gap = math.inf
     enq_time = _zeros(num)
     waits = _zeros(num)
     departures = _zeros(num)
@@ -165,82 +158,73 @@ def run_snf(stream: JobStream, needs, mus, n_servers: int):
     zlog_dz: list[int] = []
 
     k_next = 0
-    active = 0
-    while k_next < num or active > 0:
+    while k_next < num or keys:
         t_arr = arrivals[k_next] if k_next < num else math.inf
         if heap and heap[0][0] <= t_arr:
             t, jid, epoch = heappop(heap)
             if clock_epoch[jid] != epoch:
                 continue
             i = type_of[jid]
-            lst = in_system[i]
-            lst.pop(bisect_left(lst, jid))
-            x[i] -= 1
-            z[i] -= 1
+            keys.pop(bisect_left(keys, i * num + jid))
+            b -= 1
+            free += needs_l[i]
             departures[jid] = t
-            active -= 1
             zlog_t.append(t)
             zlog_i.append(i)
             zlog_dz.append(-1)
-            need = needs_l[i]
-            if need < gap:
-                free += need
-                gap -= need
+            if b == len(keys):
                 continue
+            # the first waiting job starts or resumes if it now fits
+            jid = keys[b] % num
+            i = type_of[jid]
+            need = needs_l[i]
+            if need > free:
+                continue
+            b += 1
+            free -= need
+            waits[jid] += t - enq_time[jid]
+            if clock_epoch[jid]:
+                dur = resample.next_exp() / mus_l[i]
+            else:
+                dur = unit_service[jid] / mus_l[i]
+            epoch = clock_epoch[jid] + 1
+            clock_epoch[jid] = epoch
+            heappush(heap, (t + dur, jid, epoch))
+            zlog_t.append(t)
+            zlog_i.append(i)
+            zlog_dz.append(1)
         else:
             t = t_arr
             jid = k_next
-            i = type_of[jid]
-            in_system[i].append(jid)
-            x[i] += 1
             k_next += 1
-            active += 1
+            i = type_of[jid]
             need = needs_l[i]
-            if need <= free:
-                z[i] += 1
-                clock_epoch[jid] = 1
-                heappush(heap, (t + unit_service[jid] / mus_l[i], jid, 1))
-                zlog_t.append(t)
-                zlog_i.append(i)
-                zlog_dz.append(1)
-                free -= need
-                gap += need
+            key = i * num + jid
+            p = bisect_left(keys, key)
+            keys.insert(p, key)
+            if p > b or p == b and need > free:  # behind the prefix: it waits
+                enq_time[jid] = t
                 continue
-            enq_time[jid] = t
-        rem = n_servers
-        gap = math.inf
-        for j in range(num_types):
-            need = needs_l[j]
-            cap = rem // need
-            zn = x[j] if x[j] < cap else cap
-            rem -= need * zn
-            if zn < x[j] and need - rem < gap:
-                gap = need - rem
-            zc = z[j]
-            if zn == zc:
-                continue
-            lst = in_system[j]
-            if zn > zc:
-                for q in range(zc, zn):
-                    j2 = lst[q]
-                    waits[j2] += t - enq_time[j2]
-                    if clock_epoch[j2]:
-                        dur = resample.next_exp() / mus_l[j]
-                    else:
-                        dur = unit_service[j2] / mus_l[j]
-                    epoch = clock_epoch[j2] + 1
-                    clock_epoch[j2] = epoch
-                    heappush(heap, (t + dur, j2, epoch))
-            else:
-                for q in range(zn, zc):
-                    j2 = lst[q]
-                    enq_time[j2] = t
-                    clock_epoch[j2] += 1
-            z[j] = zn
+            # it lands inside the prefix: it starts, and if the servers
+            # overflow, the prefix's last job is preempted
+            b += 1
+            free -= need
+            clock_epoch[jid] = 1
+            heappush(heap, (t + unit_service[jid] / mus_l[i], jid, 1))
             zlog_t.append(t)
-            zlog_i.append(j)
-            zlog_dz.append(zn - zc)
-        free = rem
+            zlog_i.append(i)
+            zlog_dz.append(1)
+            if free >= 0:
+                continue
+            b -= 1
+            jid = keys[b] % num
+            i = type_of[jid]
+            free += needs_l[i]
+            enq_time[jid] = t
+            clock_epoch[jid] += 1
+            zlog_t.append(t)
+            zlog_i.append(i)
+            zlog_dz.append(-1)
     zlog = (np.asarray(zlog_t), np.asarray(zlog_i, dtype=np.int64),
             np.asarray(zlog_dz, dtype=np.int64))
     return np.frombuffer(waits), np.frombuffer(departures), zlog
@@ -250,7 +234,10 @@ def run_snf_np(stream: JobStream, needs, mus, n_servers: int):
     """Non-preemptive smallest-need-first admission loop.
 
     Whenever a job may fit, the waiting job with the smallest server need
-    (earliest arrival on ties) is admitted while it fits.
+    (earliest arrival on ties) is admitted while it fits.  The waiting jobs
+    are one heap of (need, job id), and every waiting need exceeds ``idle``:
+    a departure admits from the head while it fits, and an arrival that fits
+    is the smallest waiting job and starts at once.
 
     Returns (waits, starts, departures); service is contiguous.
     """
@@ -260,67 +247,40 @@ def run_snf_np(stream: JobStream, needs, mus, n_servers: int):
     services = _view(stream.unit_service / mus[stream.type_idx])
 
     needs_l = [int(v) for v in needs]
-    queues = [deque() for _ in needs_l]
-    queue_needs = list(zip(queues, needs_l))
     idle = n_servers
-    min_wait = math.inf
+    waiting: list[tuple[int, int]] = []
     heap: list[tuple[float, int]] = []
     waits = _zeros(num)
     starts = _zeros(num)
     departures = _zeros(num)
 
     k_next = 0
-    active = 0
-    while k_next < num or active > 0:
+    while k_next < num or heap:
         t_arr = arrivals[k_next] if k_next < num else math.inf
         if heap and heap[0][0] <= t_arr:
             t, need = heappop(heap)
             idle += need
-            active -= 1
-            if idle < min_wait:
-                continue
+            while waiting and waiting[0][0] <= idle:
+                need, jid = heappop(waiting)
+                waits[jid] = t - arrivals[jid]
+                starts[jid] = t
+                d = t + services[jid]
+                departures[jid] = d
+                heappush(heap, (d, need))
+                idle -= need
         else:
             t = t_arr
             jid = k_next
-            i = type_of[jid]
-            need = needs_l[i]
+            need = needs_l[type_of[jid]]
             k_next += 1
-            active += 1
             if need > idle:
-                queues[i].append(jid)
-                if need < min_wait:
-                    min_wait = need
+                heappush(waiting, (need, jid))
             else:  # its wait t - arrivals[jid] is 0.0, as the buffer holds
                 starts[jid] = t
                 d = t + services[jid]
                 departures[jid] = d
                 heappush(heap, (d, need))
                 idle -= need
-            continue
-        while True:
-            # types are in nondecreasing need order: the first nonempty queue
-            # has the smallest need, and a later type of equal need wins with
-            # an earlier-arrived head
-            best = None
-            for q, l in queue_needs:
-                if q:
-                    if best is None:
-                        best = q
-                        need = l
-                    elif l > need:
-                        break
-                    elif q[0] < best[0]:
-                        best = q
-            if best is None or need > idle:
-                min_wait = math.inf if best is None else need
-                break
-            jid = best.popleft()
-            waits[jid] = t - arrivals[jid]
-            starts[jid] = t
-            d = t + services[jid]
-            departures[jid] = d
-            heappush(heap, (d, need))
-            idle -= need
     return np.frombuffer(waits), np.frombuffer(starts), np.frombuffer(departures)
 
 

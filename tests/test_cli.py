@@ -107,6 +107,15 @@ class TestRun:
         assert res.exit_code == 2, res.output
         assert option in res.output
 
+    def test_too_many_batches_is_usage_error(self, runner, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "simulate", lambda *a, **k: calls.append(a))
+        res = runner.invoke(main, ["run", "--n", "64", "--jobs", "1000",
+                                   "--batches", "51"])
+        assert res.exit_code == 2, res.output
+        assert "20 * batches" in res.output
+        assert calls == []
+
 
 class TestSweep:
     def test_rows_and_determinism(self, runner, tmp_path):

@@ -8,8 +8,9 @@ departures bit for bit: both sides do the same double arithmetic on the
 same event times.
 The SNF in-service log, from which ``collect_stats`` takes ``batch_z``, the
 audit and ``max_busy``, must give the reference's per-type in-service
-counts after every event, and SNF-NP the reference's start times.  Hand-made
-streams add the ties of the head-of-line start-time recursion.
+counts after every event, and change by one job at a time, and SNF-NP the
+reference's start times.  Hand-made streams add the ties of the head-of-line
+start-time recursion and of the SNF prefix boundary.
 """
 
 import numpy as np
@@ -29,7 +30,7 @@ def small_configs(draw):
     n = draw(st.integers(1, 8))
     num_types = draw(st.integers(1, 4))
     # needs come from a pool that may be smaller than the number of types, so
-    # equal needs are common and the SNF shortcuts meet their boundaries
+    # equal needs are common and SNF and SNF-NP meet their ties
     pool = draw(st.lists(st.integers(1, n), min_size=1, max_size=num_types))
     needs = sorted(draw(st.lists(st.sampled_from(pool), min_size=num_types,
                                  max_size=num_types)))
@@ -57,7 +58,11 @@ def _hand_made(n, types, arrivals, unit_service, type_idx):
 # Tie cases of the head-of-line recursion, each also run under
 # Modified-FCFS at n like every input: a departure exactly at the next
 # arrival, whose servers that arrival may take at once, and a job whose need
-# is n, so that it is admitted only at an empty machine (limit 0).
+# is n, so that it is admitted only at an empty machine (limit 0).  Then the
+# SNF prefix boundary: an arrival just behind the prefix whose need equals
+# the free servers, or exceeds them by one; a small-need arrival inside the
+# prefix that preempts its last job; and two equal-need types whose waiting
+# jobs SNF takes by type and SNF-NP by arrival.
 HAND_MADE = {
     "departure at next arrival": _hand_made(
         2, [(0.25, 1.0, 1), (0.25, 2.0, 2)],
@@ -72,6 +77,18 @@ HAND_MADE = {
         [0.0, 0.5, 0.75, 1.0, 1.5, 2.5, 4.5],
         [1.0, 0.5, 0.5, 0.25, 1.0, 0.5, 0.25],
         [0, 0, 1, 0, 1, 0, 0]),
+    "need equals free at the boundary": _hand_made(
+        5, [(0.25, 1.0, 1), (0.25, 1.0, 2)], [0.0, 0.5, 1.0, 3.0],
+        [4.0, 4.0, 1.0, 0.5], [1, 0, 1, 0]),
+    "one server short at the boundary": _hand_made(
+        4, [(0.25, 1.0, 1), (0.25, 1.0, 2)], [0.0, 0.5, 1.0, 3.0],
+        [4.0, 1.0, 1.0, 0.5], [1, 0, 1, 0]),
+    "small-need arrival preempts": _hand_made(
+        4, [(0.25, 1.0, 1), (0.25, 1.0, 2)], [0.0, 0.25, 0.5, 4.0],
+        [2.0, 2.0, 1.0, 0.5], [1, 1, 0, 0]),
+    "equal needs, later type arrived first": _hand_made(
+        2, [(0.125, 1.0, 2), (0.125, 1.0, 2)], [0.0, 0.5, 1.0],
+        [2.0, 1.0, 1.0], [0, 1, 0]),
 }
 
 
@@ -100,6 +117,8 @@ def _check_against_reference(config, stream):
         assert np.array_equal(result.departures, departures), policy
         if policy is PolicyKind.SNF:
             _, _, zlog = engines.run_snf(stream, needs, mus, config.n)
+            # an event moves at most one job besides its own, one log entry each
+            assert (np.abs(zlog[2]) == 1).all()
             event_times = np.fromiter(counts, dtype=np.float64)
             assert np.isin(zlog[0], event_times).all()
             engine_counts = np.stack(
