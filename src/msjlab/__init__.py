@@ -9,8 +9,8 @@ from .model import (AssumptionReport, ConfigError, CriticalIndices,
                     DerivedParams, JobTypeSpec, ParamSet, SystemConfig,
                     check_assumptions, critical_indices, derive_params,
                     make_param_set)
-from .policies import AuditResult, PolicyKind, snf_allocation
-from .sim import (DOMINANCE_SYSTEMS, SimResult, check_couplings,
+from .engines import AuditResult, snf_allocation
+from .sim import (DOMINANCE_SYSTEMS, PolicyKind, SimResult, check_couplings,
                   check_infinite_server_dominance, check_sandwich,
                   sandwich_systems, simulate, simulate_coupled)
 from .stream import JobStream, build_job_stream

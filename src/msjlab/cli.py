@@ -19,12 +19,9 @@ from . import stats
 from .bounds import evaluate_bounds
 from .model import (ConfigError, ParamSet, SystemConfig, derive_params,
                     make_param_set)
-from .policies import PolicyKind
-from .sim import (BATCHES, WARMUP, build_job_stream, check_batch_settings,
-                  simulate)
+from .sim import (BATCHES, WARMUP, PolicyKind, build_job_stream,
+                  check_batch_settings, simulate)
 from .verify import SUITES, suite_coupling
-
-LARGE_N = 4096  # larger sweeps are compute-heavy and need an explicit opt-in
 
 CSV_COLUMNS = [
     "row_kind", "param_set", "n", "policy", "seed", "jobs", "warmup",
@@ -209,13 +206,17 @@ def write_csv(rows: list[dict], out, header_meta: str | None = None) -> None:
 
 class _Main(click.Group):
     """The command group; a ``ConfigError`` raised under any command is a
-    usage error (exit 2), not a traceback."""
+    usage error (exit 2), and a ``MemoryError`` an error (exit 1), not a
+    traceback."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
         except ConfigError as exc:
             raise click.UsageError(str(exc)) from exc
+        except MemoryError as exc:
+            detail = f": {exc}" if str(exc) else ""
+            raise click.ClickException(f"out of memory{detail}") from exc
 
 
 @click.group(cls=_Main)
@@ -295,17 +296,12 @@ def run(param_set, warmup, batches, n, policy, seed, jobs, out, dump_trajectory)
               show_default=True)
 @click.option("--workers", type=click.IntRange(min=1), default=1,
               show_default=True)
-@click.option("--allow-large", is_flag=True,
-              help=f"permit n > {LARGE_N} (compute-heavy)")
 @click.option("--out", type=click.File("w", lazy=False), default="-",
               help="CSV output path; - is stdout")
 def sweep(param_set, warmup, batches, n_list, policies, seeds, jobs, workers,
-          allow_large, out):
+          out):
     """Run the full (n, policy, seed) grid and emit one CSV row per cell
     plus one bounds row per n."""
-    if any(n > LARGE_N for n in n_list) and not allow_large:
-        raise click.UsageError(
-            f"n > {LARGE_N} requires --allow-large (long runtimes)")
     spec = SweepSpec(param_set=param_set, n_list=tuple(n_list),
                      policies=tuple(policies), seeds=tuple(seeds), jobs=jobs,
                      warmup=warmup, batches=batches, workers=workers)

@@ -7,6 +7,8 @@ non-preemptive admission loop.  All paths emit the same raw material
 (per-job waits / service intervals or an explicit in-service step log),
 which ``collect_stats`` turns into time averages, batch integrals, the
 queueing-probability indicator and the work-conservation audit.
+``snf_allocation``, SNF's packing of a count vector, which the CTMC oracle
+solves over, sits beside ``run_snf``, SNF's event loop.
 
 Inner-loop convention: the event loops touch a few array elements per event,
 and indexing a numpy array boxes a fresh numpy scalar on every read, which
@@ -37,12 +39,13 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_left
+from dataclasses import dataclass
 from heapq import heappop, heappush
+from typing import Sequence
 
 import numpy as np
 
-from .policies import AuditResult
-from .stream import JobStream, ResampleSource
+from .stream import JobStream, resample_draws
 
 
 def _view(a) -> memoryview:
@@ -116,6 +119,19 @@ def run_infinite_server(stream: JobStream, needs, mus):
     return waits, starts, starts + services
 
 
+def snf_allocation(x: Sequence[int] | np.ndarray, n: int,
+                   needs: Sequence[int]) -> np.ndarray:
+    """Greedy smallest-need-first packing of the count vector x, or of each
+    row of an (S, I) array of count vectors."""
+    x = np.asarray(x)
+    z = np.empty_like(x)
+    remaining = n
+    for i, l_i in enumerate(needs):
+        z[..., i] = np.minimum(x[..., i], remaining // l_i)
+        remaining = remaining - l_i * z[..., i]
+    return z
+
+
 def run_snf(stream: JobStream, needs, mus, n_servers: int):
     """Preemptive smallest-need-first event loop.
 
@@ -128,13 +144,14 @@ def run_snf(stream: JobStream, needs, mus, n_servers: int):
     starts and, if the servers overflow, preempts the prefix's last job, after
     which the next job needs more than the servers left.  Ties between types
     of equal need go by type index, so the allocation is the greedy packing of
-    the count vector that ``policies.snf_allocation`` computes.
+    the count vector that ``snf_allocation`` computes.
 
     Preempted jobs re-queue and draw a fresh service clock on resume (role-3
     stream), which is distribution-preserving for exponential service.
 
-    Returns (waits, departures, zlog) where zlog = (times, type, dz) records
-    every change of the in-service count vector in chronological order.
+    Returns (waits, departures, zlog): zlog = (times float64, type int64,
+    dz int64) holds every change of the in-service count vector in order,
+    logged as a time and a code, i for a start of type i and ~i for a stop.
     """
     num = stream.horizon
     arrivals = _view(stream.arrival_times)
@@ -151,11 +168,9 @@ def run_snf(stream: JobStream, needs, mus, n_servers: int):
     departures = _zeros(num)
     clock_epoch = [0] * num
     heap: list[tuple[float, int, int]] = []
-    resample = ResampleSource(stream.seed)
-
-    zlog_t: list[float] = []
-    zlog_i: list[int] = []
-    zlog_dz: list[int] = []
+    resample = resample_draws(stream.seed)
+    log_t, log_code = array("d"), array("q")
+    put_t, put_code = log_t.append, log_code.append
 
     k_next = 0
     while k_next < num or keys:
@@ -169,9 +184,8 @@ def run_snf(stream: JobStream, needs, mus, n_servers: int):
             b -= 1
             free += needs_l[i]
             departures[jid] = t
-            zlog_t.append(t)
-            zlog_i.append(i)
-            zlog_dz.append(-1)
+            put_t(t)
+            put_code(~i)
             if b == len(keys):
                 continue
             # the first waiting job starts or resumes if it now fits
@@ -184,15 +198,14 @@ def run_snf(stream: JobStream, needs, mus, n_servers: int):
             free -= need
             waits[jid] += t - enq_time[jid]
             if clock_epoch[jid]:
-                dur = resample.next_exp() / mus_l[i]
+                dur = next(resample) / mus_l[i]
             else:
                 dur = unit_service[jid] / mus_l[i]
             epoch = clock_epoch[jid] + 1
             clock_epoch[jid] = epoch
             heappush(heap, (t + dur, jid, epoch))
-            zlog_t.append(t)
-            zlog_i.append(i)
-            zlog_dz.append(1)
+            put_t(t)
+            put_code(i)
         else:
             t = t_arr
             jid = k_next
@@ -211,9 +224,8 @@ def run_snf(stream: JobStream, needs, mus, n_servers: int):
             free -= need
             clock_epoch[jid] = 1
             heappush(heap, (t + unit_service[jid] / mus_l[i], jid, 1))
-            zlog_t.append(t)
-            zlog_i.append(i)
-            zlog_dz.append(1)
+            put_t(t)
+            put_code(i)
             if free >= 0:
                 continue
             b -= 1
@@ -222,11 +234,12 @@ def run_snf(stream: JobStream, needs, mus, n_servers: int):
             free += needs_l[i]
             enq_time[jid] = t
             clock_epoch[jid] += 1
-            zlog_t.append(t)
-            zlog_i.append(i)
-            zlog_dz.append(-1)
-    zlog = (np.asarray(zlog_t), np.asarray(zlog_i, dtype=np.int64),
-            np.asarray(zlog_dz, dtype=np.int64))
+            put_t(t)
+            put_code(~i)
+    codes = np.frombuffer(log_code, dtype=np.int64)
+    stops = codes < 0
+    zlog = (np.frombuffer(log_t), np.where(stops, ~codes, codes),
+            np.where(stops, -1, 1))
     return np.frombuffer(waits), np.frombuffer(departures), zlog
 
 
@@ -363,6 +376,20 @@ def in_service_steps(zlog, num_types):
     zt, zi, zdz = zlog
     return [(np.compress(mask, zt), np.cumsum(np.compress(mask, zdz)))
             for mask in (zi == i for i in range(num_types))]
+
+
+@dataclass(frozen=True)
+class AuditResult:
+    """Work-conservation audit over a trajectory.
+
+    ``violations`` counts epochs where the busy-server total fell below
+    min(total server need, n - delta_prime); ``worst_slack`` is the smallest
+    margin seen (negative iff there was a violation, +inf for an empty
+    trajectory).
+    """
+
+    violations: int
+    worst_slack: float
 
 
 def collect_stats(*, arrivals, departures, types, needs, mus, n_servers,

@@ -197,18 +197,13 @@ def make_param_set(which: ParamSet, n: int) -> SystemConfig:
     if which is ParamSet.ONE:
         # rho_i = (n - delta)/(3n), exact in rationals
         loads = [Fraction(n - delta_target, 3 * n)] * 3
-        lambdas = [
-            float(rho_i * n * mu_i / l_i)
-            for rho_i, mu_i, l_i in zip(loads, _STUDY_MU, needs)
-        ]
     else:
         rho3 = n ** (-0.3)
         rho12 = (n - delta_target - n**0.7) / (2 * n)
         loads = [rho12, rho12, rho3]
-        lambdas = [
-            rho_i * n * float(mu_i) / l_i
-            for rho_i, mu_i, l_i in zip(loads, _STUDY_MU, needs)
-        ]
+    # a float load times a Fraction rate is float arithmetic throughout
+    lambdas = [float(rho_i * n * mu_i / l_i)
+               for rho_i, mu_i, l_i in zip(loads, _STUDY_MU, needs)]
     if any(lam <= 0 for lam in lambdas):
         raise ConfigError(f"back-solved arrival rates not all positive at n={n}: {lambdas}")
     return SystemConfig(

@@ -24,7 +24,7 @@ import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import breadth_first_order
 
 from .model import SystemConfig, derive_params
-from .policies import snf_allocation
+from .engines import snf_allocation
 
 _MAX_STATES = 4_000_000
 TAIL_TOL = 1e-8
@@ -55,7 +55,8 @@ AllocationFn = Callable[[np.ndarray], np.ndarray]
 
 
 def snf_allocation_fn(config: SystemConfig) -> AllocationFn:
-    """Count-determined allocation of the preemptive smallest-need-first policy."""
+    """Count-determined allocation of the preemptive smallest-need-first
+    policy: ``engines.snf_allocation``, the packing ``engines.run_snf`` keeps."""
     n, needs = config.n, config.server_needs
     return lambda x: snf_allocation(x, n, needs)
 

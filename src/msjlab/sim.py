@@ -5,22 +5,32 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, replace
+from enum import Enum
 
 import numpy as np
 
 from . import engines
+from .engines import AuditResult
 from .model import ConfigError, SystemConfig, derive_params
-from .policies import AuditResult, PolicyKind
 from .stream import JobStream, build_job_stream  # re-export for convenience
 
 __all__ = [
-    "SimResult", "simulate", "simulate_coupled", "sandwich_systems",
-    "DOMINANCE_SYSTEMS", "check_sandwich", "check_infinite_server_dominance",
-    "check_couplings", "build_job_stream", "JobStream", "WARMUP", "BATCHES",
+    "PolicyKind", "SimResult", "simulate", "simulate_coupled",
+    "sandwich_systems", "DOMINANCE_SYSTEMS", "check_sandwich",
+    "check_infinite_server_dominance", "check_couplings", "build_job_stream",
+    "JobStream", "WARMUP", "BATCHES",
 ]
 
 WARMUP = 0.1  # default fraction of simulated time discarded as warm-up
 BATCHES = 20  # default number of equal batches for batch-means estimates
+
+
+class PolicyKind(Enum):
+    FCFS = "fcfs"
+    SNF = "snf"
+    SNF_NP = "snf-np"
+    MODIFIED_FCFS = "mod-fcfs"
+    INFINITE_SERVER = "inf"
 
 
 def check_batch_settings(warmup: float, batches: int) -> None:
@@ -132,22 +142,17 @@ def simulate(
     needs = np.asarray(config.server_needs, dtype=np.int64)
     mus = np.asarray(config.service_rates, dtype=np.float64)
 
-    zlog = None
-    if policy is PolicyKind.FCFS:
-        waits, starts, deps = engines.run_order_preserving(
-            stream, needs, mus, config.n, admit_threshold=None)
-    elif policy is PolicyKind.MODIFIED_FCFS:
-        waits, starts, deps = engines.run_order_preserving(
-            stream, needs, mus, config.n, admit_threshold=params.l_max)
-    elif policy is PolicyKind.INFINITE_SERVER:
-        waits, starts, deps = engines.run_infinite_server(stream, needs, mus)
-    elif policy is PolicyKind.SNF:
+    starts = zlog = None
+    if policy is PolicyKind.SNF:
         waits, deps, zlog = engines.run_snf(stream, needs, mus, config.n)
-        starts = None
     elif policy is PolicyKind.SNF_NP:
         waits, starts, deps = engines.run_snf_np(stream, needs, mus, config.n)
-    else:  # pragma: no cover
-        raise ValueError(f"unknown policy {policy}")
+    elif policy is PolicyKind.INFINITE_SERVER:
+        waits, starts, deps = engines.run_infinite_server(stream, needs, mus)
+    else:  # FCFS admits by the job's own need, Modified-FCFS by l_max
+        threshold = params.l_max if policy is PolicyKind.MODIFIED_FCFS else None
+        waits, starts, deps = engines.run_order_preserving(
+            stream, needs, mus, config.n, admit_threshold=threshold)
 
     t1 = float(stream.arrival_times[-1])
     t0 = warmup * t1
@@ -274,12 +279,10 @@ def dump_trajectory(result: SimResult, config: SystemConfig, out,
     """
     num_types = config.num_types
     num = result.num_jobs
-    ev_t = np.concatenate([result.arrivals, result.departures])
-    ev_kind = np.concatenate([np.ones(num, dtype=np.int64),
-                              np.zeros(num, dtype=np.int64)])  # 0=departure first
-    ev_type = np.concatenate([result.types, result.types])
-    ev_job = np.concatenate([np.arange(num), np.arange(num)])
-    order = np.lexsort((ev_job, ev_kind, ev_t))
+    # departures first in the stable sort, so ties go departure first, then
+    # by job id
+    ev_t = np.concatenate([result.departures, result.arrivals])
+    order = np.argsort(ev_t, kind="stable")
 
     t_sorted = ev_t[order]
     x_at = engines.step_at(*engines.count_steps(
@@ -291,10 +294,10 @@ def dump_trajectory(result: SimResult, config: SystemConfig, out,
         z_at = np.stack([engines.step_at(t, c, t_sorted)
                          for t, c in engines.in_service_steps(zlog, num_types)],
                         axis=1)
-    kind_name = {0: "departure", 1: "arrival"}
     out.write("t\tkind\ttype\tx\tz\n")
-    for row, idx in enumerate(order):
+    for row, idx in enumerate(order.tolist()):
         xs = ";".join(str(int(v)) for v in x_at[row])
         zs = ";".join(str(int(v)) for v in z_at[row])
-        out.write(f"{float(ev_t[idx])!r}\t{kind_name[int(ev_kind[idx])]}\t"
-                  f"{int(ev_type[idx])}\t{xs}\t{zs}\n")
+        kind = "departure" if idx < num else "arrival"
+        out.write(f"{float(t_sorted[row])!r}\t{kind}\t"
+                  f"{int(result.types[idx % num])}\t{xs}\t{zs}\n")

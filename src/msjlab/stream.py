@@ -14,7 +14,7 @@ resample draws used by preemptive policies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,25 +88,13 @@ def build_job_stream(seed: int, num_jobs: int, config: SystemConfig) -> JobStrea
     )
 
 
-class ResampleSource:
-    """Buffered Exp(1) draws for service-clock resampling (role 3).
+def resample_draws(seed: int):
+    """Exp(1) draws for service-clock resampling (role 3), as plain floats.
 
-    Draws are consumed sequentially; the sequence is a pure function of the
-    stream seed, so a simulation that uses it stays deterministic.
+    They come in blocks of 16,384 from the role-3 Philox stream, so the
+    sequence is a pure function of the stream seed and a simulation that
+    uses it stays deterministic.
     """
-
-    _BLOCK = 16384
-
-    def __init__(self, seed: int):
-        self._gen = _role_generator(seed, _ROLE_RESAMPLE)
-        self._buf: list[float] = []
-        self._pos = 0
-
-    def next_exp(self) -> float:
-        if self._pos >= len(self._buf):
-            self._buf = _exponential_from_uniform(
-                self._gen.random(self._BLOCK)).tolist()
-            self._pos = 0
-        v = self._buf[self._pos]
-        self._pos += 1
-        return v
+    gen = _role_generator(seed, _ROLE_RESAMPLE)
+    while True:
+        yield from _exponential_from_uniform(gen.random(16384)).tolist()

@@ -19,8 +19,7 @@ from . import engines, stats
 from .bounds import mminf_negative_part, mminf_tail
 from .model import JobTypeSpec, ParamSet, SystemConfig, make_param_set
 from .oracle import ctmc_stationary_auto, erlang_c
-from .policies import PolicyKind
-from .sim import build_job_stream, check_couplings, simulate
+from .sim import PolicyKind, build_job_stream, check_couplings, simulate
 
 
 # M/M/2 at half load: the Erlang-C reference case.

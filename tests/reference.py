@@ -20,9 +20,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from msjlab import derive_params, engines
-from msjlab.policies import AuditResult, PolicyKind, snf_allocation
-from msjlab.stream import ResampleSource
+from msjlab import (AuditResult, PolicyKind, derive_params, engines,
+                    snf_allocation)
+from msjlab.stream import resample_draws
 
 
 @dataclass(frozen=True)
@@ -221,7 +221,7 @@ def reference_run(policy, config, stream, n):
     unit = stream.unit_service.tolist()
     types = stream.type_idx.tolist()
     num = len(arrivals)
-    resample = ResampleSource(stream.seed)
+    resample = resample_draws(stream.seed)
     waits = [0.0] * num
     departures = [0.0] * num
     starts = [0.0] * num
@@ -254,7 +254,7 @@ def reference_run(policy, config, stream, n):
                         key=lambda j: (types[j], j)):
             waits[j] += t - enq[j]
             mu = mus[types[j]]
-            dur = resample.next_exp() / mu if served_once[j] else unit[j] / mu
+            dur = next(resample) / mu if served_once[j] else unit[j] / mu
             served_once[j] = True
             starts[j] = t
             in_service[j] = t + dur

@@ -185,12 +185,6 @@ class TestSweep:
         assert errors["bounds"] == ("ConfigError: the closed-form bounds "
                                     "need n >= 2, got n=1")
 
-    def test_large_n_needs_opt_in(self, runner):
-        res = runner.invoke(main, ["sweep", "--param-set", "one", "--n",
-                                   "16384", "--jobs", "2000"])
-        assert res.exit_code != 0
-        assert "--allow-large" in res.output
-
     def test_spec_error_is_usage_error(self, runner):
         res = runner.invoke(main, ["sweep", "--n", "64", "--jobs", "100"])
         assert res.exit_code == 2, res.output
@@ -396,6 +390,23 @@ class TestConfigFileFixesN:
         assert f"--n 5 contradicts n=2 in {config_file!r}" in res.output
         res = runner.invoke(main, args + ["--n", "2"])
         assert res.exit_code == 0, res.output
+
+
+class TestOutOfMemory:
+    @pytest.mark.parametrize("args,owner", [
+        (["run", "--n", "64", "--jobs", "500"], cli),
+        (["couple", "--n", "64", "--jobs", "500"], verify)],
+        ids=["run", "couple"])
+    def test_memory_error_is_one_line_error(self, runner, monkeypatch, args,
+                                            owner):
+        # raised by hand: a real oversized allocation could get a host with
+        # overcommit on to kill the process instead
+        def no_memory(*a, **k):
+            raise MemoryError("Unable to allocate 745. GiB")
+        monkeypatch.setattr(owner, "build_job_stream", no_memory)
+        res = runner.invoke(main, args)
+        assert res.exit_code == 1, res.output
+        assert res.output == "Error: out of memory: Unable to allocate 745. GiB\n"
 
 
 class TestOptionTypes:

@@ -117,6 +117,9 @@ def _check_against_reference(config, stream):
         assert np.array_equal(result.departures, departures), policy
         if policy is PolicyKind.SNF:
             _, _, zlog = engines.run_snf(stream, needs, mus, config.n)
+            # the (times, type, dz) columns perfbench's span attributes read
+            assert [a.dtype for a in zlog] == [np.float64, np.int64, np.int64]
+            assert len(zlog[0]) == len(zlog[1]) == len(zlog[2])
             # an event moves at most one job besides its own, one log entry each
             assert (np.abs(zlog[2]) == 1).all()
             event_times = np.fromiter(counts, dtype=np.float64)

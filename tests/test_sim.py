@@ -1,14 +1,37 @@
+import inspect
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import msjlab
 from msjlab import (DOMINANCE_SYSTEMS, PolicyKind, build_job_stream,
                     check_couplings, check_infinite_server_dominance,
                     check_sandwich, derive_params, mean_waiting_time,
                     sandwich_systems, simulate, simulate_coupled)
 from msjlab import sim, stats
 from reference import audit_work_conservation, infinite_server_dominance
+
+EXPORTS = [
+    "AssumptionReport", "AuditResult", "BatchMeansEstimate", "BoundReport",
+    "ConfigError", "CriticalIndices", "CtmcSpec", "DOMINANCE_SYSTEMS",
+    "DerivedParams", "JobStream", "JobTypeSpec", "ParamSet", "PolicyKind",
+    "SimResult", "StationarySolution", "SystemConfig", "batch_means",
+    "build_job_stream", "check_assumptions", "check_couplings",
+    "check_infinite_server_dominance", "check_sandwich", "critical_indices",
+    "ctmc_stationary", "ctmc_stationary_auto", "derive_params", "erlang_c",
+    "evaluate_bounds", "from_batch_values", "make_param_set",
+    "mean_waiting_time", "mminf_negative_part", "mminf_tail",
+    "queueing_probability", "sandwich_systems", "simulate",
+    "simulate_coupled", "snf_allocation", "snf_allocation_fn", "workload",
+]
+
+
+def test_package_exports_pinned():
+    # moving a name between modules must not drop it from the package
+    names = sorted(name for name, value in vars(msjlab).items()
+                   if not name.startswith("_") and not inspect.ismodule(value))
+    assert names == EXPORTS
 
 
 @pytest.mark.parametrize("policy", [PolicyKind.FCFS, PolicyKind.SNF,

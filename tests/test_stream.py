@@ -1,11 +1,12 @@
 import hashlib
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
 
 from msjlab import build_job_stream
-from msjlab.stream import ResampleSource
+from msjlab.stream import resample_draws
 
 
 def test_bit_identical_reproduction(set_one_64):
@@ -57,10 +58,8 @@ def test_num_jobs_validation(set_one_64):
 
 
 def test_resample_source_deterministic():
-    a = ResampleSource(5)
-    b = ResampleSource(5)
-    draws_a = [a.next_exp() for _ in range(50_000)]
-    draws_b = [b.next_exp() for _ in range(50_000)]
+    draws_a = list(islice(resample_draws(5), 50_000))
+    draws_b = list(islice(resample_draws(5), 50_000))
     assert draws_a == draws_b
     assert all(v > 0 for v in draws_a)
     # Exp(1) sample mean sanity
@@ -68,10 +67,9 @@ def test_resample_source_deterministic():
 
 
 def test_resample_source_plain_floats_pinned():
-    # plain Python floats, and the role-3 sequence across buffer refills
+    # plain Python floats, and the role-3 sequence across block refills
     # (50k draws span four blocks) is pinned bit for bit
-    src = ResampleSource(5)
-    draws = [src.next_exp() for _ in range(50_000)]
+    draws = list(islice(resample_draws(5), 50_000))
     assert all(type(v) is float for v in draws)
     assert draws[:3] == [1.3926051467279927, 0.5301961347298203,
                          1.2771263403560384]
