@@ -27,11 +27,17 @@ overlaps only into the slice of intervals that can meet the bin, then sums
 the whole zero-padded buffer, so each sum adds the same terms in the same
 order as a pass over every interval.
 
-The merged epoch sweep of ``collect_stats`` presorts the departures, so its
-stable sort merges runs that are mostly in order, and sums int64 jumps in
-place.  Every jump is an integer, so every cumulative sum is exact and the
-sum at each distinct time is the same in any row order: ``t_ep``, the
-``qprob`` integrand and the audit keep their bits.
+The merged epoch sweep of ``collect_stats`` gives the total server need
+``sx`` and the busy servers ``sz`` after the changes at each distinct time
+``t_ep`` of the arrivals, the service starts (or the SNF in-service log) and
+the departures.  It presorts the departures, so its one stable sort merges
+runs that are mostly in order, and keeps the permutation and a mask of the
+last row at each distinct time.  It then builds one level at a time: gather
+the level's int64 jumps through the permutation, sum them in place and keep
+the masked rows, so the jumps of only one level are ever held.  Every jump
+is an integer, so every cumulative sum is exact and the sum at each
+distinct time is the same in any row order: ``t_ep``, the ``qprob``
+integrand and the audit keep their bits.
 """
 
 from __future__ import annotations
@@ -297,7 +303,7 @@ def run_snf_np(stream: JobStream, needs, mus, n_servers: int):
     return np.frombuffer(waits), np.frombuffer(starts), np.frombuffer(departures)
 
 
-def _bin_integrals(lo, hi, edges, values=None):
+def _bin_integrals(lo, hi, edges, values=None, monotone=False):
     """Per bin [edges[b], edges[b+1]), the summed overlap of the intervals
     [lo[k], hi[k]) with it, each weighted by values[k] if given.
 
@@ -305,10 +311,13 @@ def _bin_integrals(lo, hi, edges, values=None):
     on (suffix min of ``lo`` >= b) overlap the bin by <= 0, which clips to
     +0.0, so only [first, last) of the zeroed buffer is written.  The sum or
     dot still runs over the full buffer: the same terms in the same order as
-    a full-length pass, hence the same bits.
+    a full-length pass, hence the same bits.  If ``monotone``, ``lo`` and
+    ``hi`` are nondecreasing and so their own running max and suffix min.
     """
-    firsts = np.searchsorted(np.maximum.accumulate(hi), edges[:-1], "right")
-    lasts = np.searchsorted(np.minimum.accumulate(lo[::-1])[::-1], edges[1:], "left")
+    hi_max = hi if monotone else np.maximum.accumulate(hi)
+    lo_min = lo if monotone else np.minimum.accumulate(lo[::-1])[::-1]
+    firsts = np.searchsorted(hi_max, edges[:-1], "right")
+    lasts = np.searchsorted(lo_min, edges[1:], "left")
     overlap = np.zeros(len(lo))
     out = np.empty(len(edges) - 1)
     for j, (a, b, first, last) in enumerate(zip(edges[:-1], edges[1:],
@@ -328,7 +337,16 @@ def _step_integrals(t, values, edges):
     if len(t) == 0:
         return np.zeros(len(edges) - 1)
     ends = np.append(t[1:], max(edges[-1], t[-1]))
-    return _bin_integrals(t, ends, edges, np.asarray(values, dtype=np.float64))
+    return _bin_integrals(t, ends, edges, np.asarray(values, dtype=np.float64),
+                          monotone=True)
+
+
+def _last_at_each_time(t):
+    """Mask of the last entry at each distinct time of the sorted ``t``."""
+    keep = np.empty(len(t), dtype=bool)
+    keep[:-1] = t[1:] != t[:-1]
+    keep[-1:] = True
+    return keep
 
 
 def step_function(times, deltas):
@@ -337,20 +355,14 @@ def step_function(times, deltas):
     Returns the distinct change times in increasing order and the value after
     all changes at each of them (value 0 before the first).  The sort is
     stable; ``deltas`` may carry one column per step function sharing the
-    change times.  Jumps of 64 bits are summed in place; narrower integer
-    jumps are summed in int64.
+    change times.  Integer jumps are summed in int64.
     """
     order = np.argsort(times, kind="stable")
     t = np.take(times, order)
     values = np.take(deltas, order, axis=0)
     del order  # lowers the peak memory of a long sweep
-    if values.dtype.itemsize < 8:
-        values = np.cumsum(values, axis=0)
-    else:
-        np.cumsum(values, axis=0, out=values)
-    keep = np.empty(len(t), dtype=bool)
-    keep[:-1] = t[1:] != t[:-1]
-    keep[-1:] = True
+    values = np.cumsum(values, axis=0)
+    keep = _last_at_each_time(t)
     return np.compress(keep, t), np.compress(keep, values, axis=0)
 
 
@@ -428,24 +440,44 @@ def collect_stats(*, arrivals, departures, types, needs, mus, n_servers,
     batch_q = batch_x - batch_z
 
     # merged epoch sweep for total server need, busy servers, audit,
-    # P(queueing); see the module docstring
+    # P(queueing); see the module docstring.  Each per-row array is deleted
+    # once spent, which sets the call's peak memory.
     job_needs = needs[types]
     by_dep = np.argsort(departures, kind="stable")
     zt = service_starts if zlog is None else zlog[0]
     num, m = len(types), len(zt)
     times = np.concatenate([arrivals, zt, np.take(departures, by_dep)])
-    deltas = np.zeros((len(times), 2), dtype=np.int64)
-    deltas[:num, 0] = job_needs
-    deltas[num + m:, 0] = -np.take(job_needs, by_dep)
-    if zlog is None:
-        deltas[num:num + m, 1] = job_needs
-        deltas[num + m:, 1] = deltas[num + m:, 0]
-    else:  # the zlog already holds the in-service departures
-        deltas[num:num + m, 1] = needs[zlog[1]] * zlog[2]
-    t_ep, sums = step_function(times, deltas)
-    sx, sz = sums[:, 0], sums[:, 1]
+    dep_jumps = np.take(job_needs, by_dep)
+    np.negative(dep_jumps, out=dep_jumps)
+    del by_dep
+    order = np.argsort(times, kind="stable")
+    t = np.take(times, order)
+    del times
+    keep = _last_at_each_time(t)
+    t_ep = np.compress(keep, t)
+    del t
 
-    batch_qprob = _step_integrals(t_ep, sx >= n_servers, edges) / bin_len
+    def level(arrival_jumps, start_jumps, departure_jumps):
+        """Value after the changes at each time of ``t_ep`` of the step
+        function with the given jumps at the arrivals, starts and
+        departures."""
+        jumps = np.empty(len(order), dtype=np.int64)
+        jumps[:num] = arrival_jumps
+        jumps[num:num + m] = start_jumps
+        jumps[num + m:] = departure_jumps
+        jumps = np.take(jumps, order)
+        np.cumsum(jumps, out=jumps)
+        return np.compress(keep, jumps)
+
+    sx = level(job_needs, 0, dep_jumps)
+    if zlog is None:
+        sz = level(0, job_needs, dep_jumps)
+    else:  # the zlog already holds the in-service departures
+        del job_needs, dep_jumps
+        start_jumps = np.take(needs, zlog[1])
+        start_jumps *= zlog[2]
+        sz = level(0, start_jumps, 0)
+    del order, keep
 
     # t_ep is sorted, so the epochs in [t0, t1] are one slice of it
     w = slice(np.searchsorted(t_ep, t0, "left"),
@@ -456,6 +488,10 @@ def collect_stats(*, arrivals, departures, types, needs, mus, n_servers,
                             worst_slack=float(slack_w.min()))
     else:
         audit = AuditResult(violations=0, worst_slack=float("inf"))
+    max_busy = float(sz.max()) if len(sz) else 0.0
+    queued = sx >= n_servers
+    del slack_w, sz, sx
+    batch_qprob = _step_integrals(t_ep, queued, edges) / bin_len
 
     lam_mu = needs / np.asarray(mus, dtype=np.float64)
     batch_workload = batch_q @ lam_mu
@@ -465,5 +501,5 @@ def collect_stats(*, arrivals, departures, types, needs, mus, n_servers,
         "batch_workload": batch_workload,
         "batch_qprob": batch_qprob,
         "audit": audit,
-        "max_busy": float(sz.max()) if len(sz) else 0.0,
+        "max_busy": max_busy,
     }

@@ -8,8 +8,10 @@ every arrival and departure; the fast engines in ``msjlab.engines`` are
 tested against it.  ``audit_work_conservation`` replays the
 delta'-work-conservation audit over (x, z) epochs,
 ``infinite_server_dominance`` compares the per-type job counts of a coupled
-pair as step functions at every epoch, and ``mm1_whole_machine`` gives the
-closed forms of the system in which every job takes the whole machine.
+pair as step functions at every epoch, ``merged_sweep`` states the merged
+epoch sweep of ``engines.collect_stats`` with both levels in one array, and
+``mm1_whole_machine`` gives the closed forms of the system in which every
+job takes the whole machine.
 """
 
 from __future__ import annotations
@@ -174,6 +176,48 @@ def infinite_server_dominance(coupled) -> bool:
     epochs = np.union1d(ti, tf)
     return not np.any(engines.step_at(ti, ci, epochs)
                       > engines.step_at(tf, cf, epochs))
+
+
+def merged_sweep(*, arrivals, departures, types, needs, n_servers, window,
+                 batches, service_starts=None, zlog=None) -> dict:
+    """``collect_stats``'s ``batch_qprob``, ``audit`` and ``max_busy`` from
+    one (times, 2) array of both levels' jumps, summed by one
+    ``step_function`` call, and a ``qprob`` integral that takes the running
+    max and suffix min of its intervals."""
+    t0, t1 = window
+    edges = np.linspace(t0, t1, batches + 1)
+    bin_len = (t1 - t0) / batches
+    needs = np.asarray(needs, dtype=np.int64)
+    job_needs = needs[types]
+    by_dep = np.argsort(departures, kind="stable")
+    zt = service_starts if zlog is None else zlog[0]
+    num, m = len(types), len(zt)
+    times = np.concatenate([arrivals, zt, np.take(departures, by_dep)])
+    deltas = np.zeros((len(times), 2), dtype=np.int64)
+    deltas[:num, 0] = job_needs
+    deltas[num + m:, 0] = -np.take(job_needs, by_dep)
+    if zlog is None:
+        deltas[num:num + m, 1] = job_needs
+        deltas[num + m:, 1] = deltas[num + m:, 0]
+    else:  # the zlog already holds the in-service departures
+        deltas[num:num + m, 1] = needs[zlog[1]] * zlog[2]
+    t_ep, sums = engines.step_function(times, deltas)
+    sx, sz = sums[:, 0], sums[:, 1]
+
+    ends = np.append(t_ep[1:], max(edges[-1], t_ep[-1]))
+    batch_qprob = engines._bin_integrals(
+        t_ep, ends, edges, np.asarray(sx >= n_servers, dtype=np.float64)) / bin_len
+
+    w = slice(np.searchsorted(t_ep, t0, "left"),
+              np.searchsorted(t_ep, t1, "right"))
+    slack_w = sz[w] - np.minimum(sx[w], n_servers - int(needs.max()))
+    if len(slack_w):
+        audit = AuditResult(violations=int((slack_w < 0).sum()),
+                            worst_slack=float(slack_w.min()))
+    else:
+        audit = AuditResult(violations=0, worst_slack=float("inf"))
+    return {"batch_qprob": batch_qprob, "audit": audit,
+            "max_busy": float(sz.max()) if len(sz) else 0.0}
 
 
 def mm1_whole_machine(lam: float, mu: float) -> dict:

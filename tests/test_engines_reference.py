@@ -9,8 +9,12 @@ same event times.
 The SNF in-service log, from which ``collect_stats`` takes ``batch_z``, the
 audit and ``max_busy``, must give the reference's per-type in-service
 counts after every event, and change by one job at a time, and SNF-NP the
-reference's start times.  Hand-made streams add the ties of the head-of-line
-start-time recursion and of the SNF prefix boundary.
+reference's start times.  Every system's ``batch_qprob``, audit and
+``max_busy`` must equal, bit for bit, those of ``reference.merged_sweep``,
+which sums both levels of the merged epoch sweep in one array, fed with the
+reference's service starts or the SNF log.  Hand-made streams add the ties
+of the head-of-line start-time recursion and of the SNF prefix boundary,
+where arrivals, starts and departures share dyadic times.
 """
 
 import numpy as np
@@ -22,7 +26,7 @@ from msjlab import (JobTypeSpec, PolicyKind, SystemConfig, build_job_stream,
                     derive_params, simulate_coupled)
 from msjlab import engines
 from msjlab.stream import JobStream
-from reference import reference_run
+from reference import merged_sweep, reference_run
 
 
 @st.composite
@@ -115,8 +119,10 @@ def _check_against_reference(config, stream):
             policy, config, stream, n)
         assert np.array_equal(result.waits, waits), policy
         assert np.array_equal(result.departures, departures), policy
+        trajectory = {"service_starts": np.array(starts)}
         if policy is PolicyKind.SNF:
             _, _, zlog = engines.run_snf(stream, needs, mus, config.n)
+            trajectory = {"zlog": zlog}
             # the (times, type, dz) columns perfbench's span attributes read
             assert [a.dtype for a in zlog] == [np.float64, np.int64, np.int64]
             assert len(zlog[0]) == len(zlog[1]) == len(zlog[2])
@@ -132,3 +138,11 @@ def _check_against_reference(config, stream):
         elif policy is PolicyKind.SNF_NP:
             _, engine_starts, _ = engines.run_snf_np(stream, needs, mus, config.n)
             assert np.array_equal(engine_starts, starts)
+        sweep = merged_sweep(arrivals=stream.arrival_times,
+                             departures=result.departures,
+                             types=stream.type_idx, needs=needs, n_servers=n,
+                             window=result.window, batches=result.batches,
+                             **trajectory)
+        assert result.batch_qprob.tobytes() == sweep["batch_qprob"].tobytes()
+        assert result.audit == sweep["audit"], policy
+        assert result.max_busy == sweep["max_busy"], policy
