@@ -8,7 +8,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -186,6 +185,7 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
                 cells.append((spec.param_set, config, policy, seed,
                               spec.jobs, spec.warmup, spec.batches))
     if spec.workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
             sim_rows = list(pool.map(_sim_cell, cells))
     else:

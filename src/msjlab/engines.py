@@ -460,10 +460,14 @@ def collect_stats(*, arrivals, departures, types, needs, mus, n_servers,
     def level(arrival_jumps, start_jumps, departure_jumps):
         """Value after the changes at each time of ``t_ep`` of the step
         function with the given jumps at the arrivals, starts and
-        departures."""
+        departures; ``start_jumps=None`` takes the zlog's signed needs."""
         jumps = np.empty(len(order), dtype=np.int64)
         jumps[:num] = arrival_jumps
-        jumps[num:num + m] = start_jumps
+        if start_jumps is None:  # in place: mode "raise" would buffer ``out``
+            np.take(needs, zlog[1], out=jumps[num:num + m], mode="clip")
+            jumps[num:num + m] *= zlog[2]
+        else:
+            jumps[num:num + m] = start_jumps
         jumps[num + m:] = departure_jumps
         jumps = np.take(jumps, order)
         np.cumsum(jumps, out=jumps)
@@ -474,9 +478,7 @@ def collect_stats(*, arrivals, departures, types, needs, mus, n_servers,
         sz = level(0, job_needs, dep_jumps)
     else:  # the zlog already holds the in-service departures
         del job_needs, dep_jumps
-        start_jumps = np.take(needs, zlog[1])
-        start_jumps *= zlog[2]
-        sz = level(0, start_jumps, 0)
+        sz = level(0, None, 0)
     del order, keep
 
     # t_ep is sorted, so the epochs in [t0, t1] are one slice of it

@@ -10,25 +10,42 @@ balance equations with the empty state's weight pinned to 1 gives pi.  It
 runs in geometric nested-dissection order of the box (George 1973): no
 transition joins the two halves of a block, so eliminating both before the
 plane that separates them keeps the fill inside the blocks.
+
+scipy's sparse stack loads at the first solve, not at import: ``sp``,
+``spla`` and ``csgraph`` resolve through the module ``__getattr__`` (PEP 562)
+and are then bound here, so a caller may read or rebind ``oracle.spla``
+before any solve and ``ctmc_stationary`` calls whatever it is bound to.
 """
 
 from __future__ import annotations
 
+import importlib
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.sparse.csgraph import breadth_first_order
 
 from .model import SystemConfig, derive_params
 from .engines import snf_allocation
 
+if TYPE_CHECKING:
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+    from scipy.sparse import csgraph
+
 _MAX_STATES = 4_000_000
 TAIL_TOL = 1e-8
 _CAP_GROWTHS = 6  # truncation boxes ctmc_stationary_auto tries
+_SPARSE = {"sp": "scipy.sparse", "spla": "scipy.sparse.linalg",
+           "csgraph": "scipy.sparse.csgraph"}
+
+
+def __getattr__(name):
+    if name not in _SPARSE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = globals()[name] = importlib.import_module(_SPARSE[name])
+    return module
 
 
 def erlang_c(n: int, lam: float, mu: float) -> dict:
@@ -135,6 +152,8 @@ def ctmc_stationary(spec: CtmcSpec) -> StationarySolution:
     box's nested-dissection order with no further column ordering: on the
     9,261-state three-type box, 1.39M factor nonzeros against COLAMD's 2.44M.
     """
+    for name in _SPARSE.keys() - globals().keys():  # load; keep a rebound spla
+        __getattr__(name)
     config = spec.config
     num_types = config.num_types
     dims = tuple(c + 1 for c in spec.cap)
@@ -174,7 +193,7 @@ def ctmc_stationary(spec: CtmcSpec) -> StationarySolution:
     # pi Q = 0 with pi[0] = 1 at the empty state: no dense normalisation row.
     # The reduced system is nonsingular iff every state can reach the empty
     # state, i.e. a search from it on the reversed graph finds them all.
-    reaching = breadth_first_order(q_offdiag.T, 0, return_predecessors=False)
+    reaching = csgraph.breadth_first_order(q_offdiag.T, 0, return_predecessors=False)
     if len(reaching) < num_states:
         raise ValueError("reduced balance system is singular: the empty state is not "
                          "recurrent under this allocation (the chain must drain to empty)")

@@ -1,12 +1,15 @@
 """Steady-state estimation: batch means with Student-t confidence intervals,
-and the estimator assembly for waiting times and queueing probability."""
+and the estimator assembly for waiting times and queueing probability.
+
+``scipy.special`` loads at the first confidence interval, not at import, so
+commands that estimate nothing (``couple``, ``bounds``) never pay for it.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import stdtrit
 
 from .model import SystemConfig
 from .sim import SimResult
@@ -41,6 +44,7 @@ def _estimate(per_batch: np.ndarray, mean=None) -> BatchMeansEstimate:
     b = len(per_batch)
     half_width = float("inf")
     if b >= 2:
+        from scipy.special import stdtrit
         q = stdtrit(b - 1, 0.5 + CONFIDENCE / 2)
         half_width = float(q * per_batch.std(ddof=1) / np.sqrt(b))
     mean = per_batch.mean() if mean is None else mean

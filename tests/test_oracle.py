@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -100,6 +104,26 @@ class TestCtmc:
         monkeypatch.setattr(oracle.spla, "spsolve", counting)
         ctmc_stationary(box_spec)
         assert len(calls) == 1
+
+    def test_solve_goes_through_the_bound_spla(self, box_spec, monkeypatch):
+        # perfbench swaps the whole attribute for a proxy; the solve must
+        # look oracle.spla up at call time, not keep the module it loaded
+        real, calls = oracle.spla, []
+
+        class Proxy:
+            def __getattr__(self, name):
+                return getattr(real, name)
+
+            def spsolve(self, *args, **kwargs):
+                calls.append(1)
+                return real.spsolve(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "spla", Proxy())
+        sol = ctmc_stationary(box_spec)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert oracle.spla is real
+        assert np.array_equal(ctmc_stationary(box_spec).pi, sol.pi)
 
     @pytest.mark.parametrize("fixture", ["box_spec", "two_type", "whole_machine"])
     def test_dissection_order_does_not_change_the_answer(self, fixture, request,
@@ -232,3 +256,24 @@ def test_dissection_order_puts_the_top_separator_last(dims):
     assert lower.max() < upper.min()
     assert upper.max() < plane.min()
 
+
+def test_spla_readable_before_any_solve():
+    # the sparse stack loads on first use, yet oracle.spla is there to read
+    # (and to swap) in a process that has not solved anything
+    code = """if True:
+        import sys
+        from msjlab import oracle
+        assert "scipy.sparse" not in sys.modules
+        assert oracle.spla is sys.modules["scipy.sparse.linalg"]
+        assert callable(oracle.spla.spsolve)
+        try:
+            oracle.no_such_name
+        except AttributeError:
+            pass
+        else:
+            raise AssertionError("unknown names must raise AttributeError")
+    """
+    env = {**os.environ, "PYTHONPATH": str(Path(oracle.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env)
+    assert out.returncode == 0, out.stderr
