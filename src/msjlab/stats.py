@@ -1,8 +1,9 @@
 """Steady-state estimation: batch means with Student-t confidence intervals,
 and the estimator assembly for waiting times and queueing probability.
 
-``scipy.special`` loads at the first confidence interval, not at import, so
-commands that estimate nothing (``couple``, ``bounds``) never pay for it.
+At the default batch count the Student-t quantile is a literal, so the
+estimates of ``run``, ``sweep`` and the drift suite load no scipy module.
+Any other count loads ``scipy.special`` at its first confidence interval.
 """
 
 from __future__ import annotations
@@ -12,9 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import SystemConfig
-from .sim import SimResult
+from .sim import BATCHES, SimResult
 
 CONFIDENCE = 0.95
+# scipy.special.stdtrit(BATCHES - 1, 0.5 + CONFIDENCE / 2) on scipy 1.17.1,
+# copied rather than computed: stdtrit is not correctly rounded, and every
+# pinned half-width carries its bits
+T_QUANTILE_DEFAULT = 2.0930240544083087
 
 
 @dataclass(frozen=True)
@@ -44,8 +49,11 @@ def _estimate(per_batch: np.ndarray, mean=None) -> BatchMeansEstimate:
     b = len(per_batch)
     half_width = float("inf")
     if b >= 2:
-        from scipy.special import stdtrit
-        q = stdtrit(b - 1, 0.5 + CONFIDENCE / 2)
+        if b == BATCHES:
+            q = T_QUANTILE_DEFAULT
+        else:
+            from scipy.special import stdtrit
+            q = stdtrit(b - 1, 0.5 + CONFIDENCE / 2)
         half_width = float(q * per_batch.std(ddof=1) / np.sqrt(b))
     mean = per_batch.mean() if mean is None else mean
     return BatchMeansEstimate(float(mean), half_width, b,
@@ -84,8 +92,9 @@ def mean_waiting_time(result: SimResult, config: SystemConfig) -> dict:
 
     Waits are split into as many batches as the run's time-average batches.
     Types with no post-warm-up arrivals are absent from ``per_type`` rather
-    than reported as zero.  The overall mean is exactly the arrival-weighted
-    average of the per-type means (same data, one grand mean).
+    than reported as zero.  The overall mean is the arrival-weighted average
+    of the per-type means (same data, one grand mean) up to rounding, since
+    the two sum the waits in a different order.
     """
     batches = result.batches
     t0, _ = result.window

@@ -12,7 +12,8 @@ import msjlab
 from msjlab import (JobTypeSpec, PolicyKind, SystemConfig, batch_means,
                     build_job_stream, erlang_c, from_batch_values,
                     mean_waiting_time, queueing_probability, simulate)
-from msjlab.stats import CONFIDENCE
+from msjlab.sim import BATCHES
+from msjlab.stats import CONFIDENCE, T_QUANTILE_DEFAULT
 
 
 def _exp_samples(seed, size):
@@ -46,11 +47,22 @@ def test_stdtrit_matches_t_ppf_bits():
     df = np.arange(1, 10_001)
     p = 0.5 + CONFIDENCE / 2
     assert stdtrit(df, p).tobytes() == sps.t.ppf(p, df=df).tobytes()
+    # the default count's quantile is a literal copied from stdtrit
+    assert (np.float64(T_QUANTILE_DEFAULT).tobytes()
+            == stdtrit(BATCHES - 1, p).tobytes())
+    # the literal and any other count both give stdtrit's half-width
+    data = _exp_samples(0, 10_000)
+    for batches in (BATCHES, 10):
+        est = batch_means(data, batches=batches)
+        sd = np.array(est.per_batch).std(ddof=1)
+        q = stdtrit(batches - 1, p)
+        assert est.half_width == float(q * sd / np.sqrt(batches))
 
 
-def test_import_couple_and_bounds_load_no_scipy():
+def test_commands_load_scipy_only_off_default_batches():
     # scipy loads only where it is called: stats at the first confidence
-    # interval, oracle at the first solve; couple and bounds call neither
+    # interval over a non-default batch count, oracle at the first solve;
+    # couple and bounds build no interval, and run and sweep use 20 batches
     code = """if True:
         import sys
         import msjlab, msjlab.cli
@@ -59,18 +71,26 @@ def test_import_couple_and_bounds_load_no_scipy():
             return sorted(m for m in sys.modules
                           if m == "scipy" or m.startswith("scipy."))
 
+        def cli(*args):
+            msjlab.cli.main(list(args), standalone_mode=False)
+
         assert not scipy_loaded(), ("import", scipy_loaded())
-        msjlab.cli.main(["couple", "--param-set", "one", "--n", "64",
-                         "--jobs", "2000", "--seed", "0"], standalone_mode=False)
-        msjlab.cli.main(["bounds", "--param-set", "one", "--n", "64"],
-                        standalone_mode=False)
+        cli("couple", "--param-set", "one", "--n", "64", "--jobs", "2000",
+            "--seed", "0")
+        cli("bounds", "--param-set", "one", "--n", "64")
         assert not scipy_loaded(), ("couple, bounds", scipy_loaded())
+        cli("run", "--n", "64", "--jobs", "2000")
+        cli("sweep", "--n", "64", "--jobs", "2000")
+        assert not scipy_loaded(), ("run, sweep", scipy_loaded())
+        cli("run", "--n", "64", "--batches", "10", "--jobs", "2000")
+        assert "scipy.special" in sys.modules, "run --batches 10"
     """
     env = {**os.environ, "PYTHONPATH": str(Path(msjlab.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=env)
     assert out.returncode == 0, out.stderr
     assert "checks passed" in out.stdout and '"universal_lower"' in out.stdout
+    assert "row_kind," in out.stdout and '"batches": 10' in out.stdout
 
 
 def test_mean_is_grand_mean():
