@@ -30,14 +30,17 @@ order as a pass over every interval.
 The merged epoch sweep of ``collect_stats`` gives the total server need
 ``sx`` and the busy servers ``sz`` after the changes at each distinct time
 ``t_ep`` of the arrivals, the service starts (or the SNF in-service log) and
-the departures.  It presorts the departures, so its one stable sort merges
-runs that are mostly in order, and keeps the permutation and a mask of the
-last row at each distinct time.  It then builds one level at a time: gather
-the level's int64 jumps through the permutation, sum them in place and keep
-the masked rows, so the jumps of only one level are ever held.  Every jump
-is an integer, so every cumulative sum is exact and the sum at each
-distinct time is the same in any row order: ``t_ep``, the ``qprob``
-integrand and the audit keep their bits.
+the departures.  It walks time in slices cut at every ``_SLICE``-th arrival
+time.  The arrivals and the SNF log are already in time order; the starts
+and the departures are argsorted stably once.  All three sources are split
+with ``searchsorted(..., "left")`` at the same cut times, so every change at
+one time falls in one slice.  A slice's rows are sorted stably, both levels'
+int64 jumps are summed on from the values carried over from the slice
+before, and the last row at each distinct time is kept; the audit,
+``max_busy`` and the ``queued`` indicator use those values at once, so only
+``t_ep`` and ``queued`` span the whole run.  Every jump is an integer, so
+each level at each distinct time is the same exact sum in any grouping of
+the rows: ``t_ep``, the ``qprob`` integrand and the audit keep their bits.
 """
 
 from __future__ import annotations
@@ -384,10 +387,11 @@ def count_steps(lo, hi, types, num_types):
 
 def in_service_steps(zlog, num_types):
     """Per type, the in-service count of an SNF ``zlog`` as a step function
-    (change times, count after each change)."""
+    (change times, count after each change), yielded one type at a time."""
     zt, zi, zdz = zlog
-    return [(np.compress(mask, zt), np.cumsum(np.compress(mask, zdz)))
-            for mask in (zi == i for i in range(num_types))]
+    for i in range(num_types):
+        mask = zi == i
+        yield np.compress(mask, zt), np.cumsum(np.compress(mask, zdz))
 
 
 @dataclass(frozen=True)
@@ -404,6 +408,65 @@ class AuditResult:
     worst_slack: float
 
 
+# Arrivals per slice of the merged epoch sweep: a slice's sort and sums
+# hold a few times this many rows, whatever the length of the run.
+_SLICE = 4096
+
+
+def _epoch_slices(arrivals, departures, types, needs, service_starts, zlog):
+    """The merged epoch sweep of ``collect_stats``, one slice of time at a
+    time: per slice, its distinct change times ``t_ep`` and the total server
+    need ``sx`` and busy servers ``sz`` after the changes at each of them.
+    ``arrivals`` and the ``zlog`` times are nondecreasing."""
+    # each source in time order, cut with "left" at every _SLICE-th arrival
+    # time, so all changes at one time fall in one slice
+    taus = arrivals[_SLICE::_SLICE]
+
+    def cuts(sorted_times):
+        inner = np.searchsorted(sorted_times, taus, "left").tolist()
+        return zip([0, *inner], [*inner, len(sorted_times)])
+
+    by_dep = np.argsort(departures, kind="stable")
+    dep_cuts = cuts(np.take(departures, by_dep))
+    if zlog is None:
+        by_start = np.argsort(service_starts, kind="stable")
+        start_cuts = cuts(np.take(service_starts, by_start))
+    else:
+        start_cuts = cuts(zlog[0])
+    carry = np.zeros((2, 1), dtype=np.int64)  # sx and sz before the slice
+    for (a0, a1), (s0, s1), (d0, d1) in zip(cuts(arrivals), start_cuts,
+                                            dep_cuts):
+        if zlog is None:
+            rows = by_start[s0:s1]
+            start_t = np.take(service_starts, rows)
+            start_j = np.take(needs, np.take(types, rows))
+        else:
+            start_t = zlog[0][s0:s1]
+            start_j = np.take(needs, zlog[1][s0:s1]) * zlog[2][s0:s1]
+        rows = by_dep[d0:d1]
+        times = np.concatenate([arrivals[a0:a1], start_t,
+                                np.take(departures, rows)])
+        if len(times) == 0:
+            continue
+        # the jumps of sx and sz at the slice's arrivals, starts, departures
+        ns, nd = a1 - a0, a1 - a0 + len(start_t)
+        jumps = np.zeros((2, len(times)), dtype=np.int64)
+        jumps[0, :ns] = np.take(needs, types[a0:a1])
+        jumps[1, ns:nd] = start_j
+        np.negative(np.take(needs, np.take(types, rows)), out=jumps[0, nd:])
+        if zlog is None:  # the zlog already holds the in-service departures
+            jumps[1, nd:] = jumps[0, nd:]
+        order = np.argsort(times, kind="stable")
+        t = np.take(times, order)
+        keep = _last_at_each_time(t)
+        levels = np.take(jumps, order, axis=1)
+        np.cumsum(levels, axis=1, out=levels)
+        levels += carry
+        carry = levels[:, -1:].copy()
+        sx, sz = np.compress(keep, levels, axis=1)
+        yield np.compress(keep, t), sx, sz
+
+
 def collect_stats(*, arrivals, departures, types, needs, mus, n_servers,
                   window, batches, service_starts=None, zlog=None):
     """Per-batch time averages, the peak busy-server count and the
@@ -411,8 +474,9 @@ def collect_stats(*, arrivals, departures, types, needs, mus, n_servers,
     ``SimResult`` field names.
 
     Exactly one of ``service_starts`` (contiguous service) or ``zlog``
-    (explicit in-service step log) must be given.  All statistics are over
-    the window [t0, t1]; batch bins split it evenly.
+    (explicit in-service step log, in time order) must be given.
+    ``arrivals`` must be nondecreasing, as every engine requires.  All
+    statistics are over the window [t0, t1]; batch bins split it evenly.
     """
     t0, t1 = window
     span = t1 - t0
@@ -432,67 +496,34 @@ def collect_stats(*, arrivals, departures, types, needs, mus, n_servers,
         if zlog is None:
             batch_z[:, i] = _bin_integrals(np.compress(mask, service_starts),
                                            deps_i, edges)
-    if zlog is not None:
-        for i, (ts, cum) in enumerate(in_service_steps(zlog, num_types)):
-            batch_z[:, i] = _step_integrals(ts, cum, edges)
+    if zlog is not None:  # one type's step function at a time
+        for i, step in enumerate(in_service_steps(zlog, num_types)):
+            batch_z[:, i] = _step_integrals(*step, edges)
+        del step
+    del mask, deps_i  # the last type's rows, before the sweep
     batch_x /= bin_len
     batch_z /= bin_len
     batch_q = batch_x - batch_z
 
     # merged epoch sweep for total server need, busy servers, audit,
-    # P(queueing); see the module docstring.  Each per-row array is deleted
-    # once spent, which sets the call's peak memory.
-    job_needs = needs[types]
-    by_dep = np.argsort(departures, kind="stable")
-    zt = service_starts if zlog is None else zlog[0]
-    num, m = len(types), len(zt)
-    times = np.concatenate([arrivals, zt, np.take(departures, by_dep)])
-    dep_jumps = np.take(job_needs, by_dep)
-    np.negative(dep_jumps, out=dep_jumps)
-    del by_dep
-    order = np.argsort(times, kind="stable")
-    t = np.take(times, order)
-    del times
-    keep = _last_at_each_time(t)
-    t_ep = np.compress(keep, t)
-    del t
-
-    def level(arrival_jumps, start_jumps, departure_jumps):
-        """Value after the changes at each time of ``t_ep`` of the step
-        function with the given jumps at the arrivals, starts and
-        departures; ``start_jumps=None`` takes the zlog's signed needs."""
-        jumps = np.empty(len(order), dtype=np.int64)
-        jumps[:num] = arrival_jumps
-        if start_jumps is None:  # in place: mode "raise" would buffer ``out``
-            np.take(needs, zlog[1], out=jumps[num:num + m], mode="clip")
-            jumps[num:num + m] *= zlog[2]
-        else:
-            jumps[num:num + m] = start_jumps
-        jumps[num + m:] = departure_jumps
-        jumps = np.take(jumps, order)
-        np.cumsum(jumps, out=jumps)
-        return np.compress(keep, jumps)
-
-    sx = level(job_needs, 0, dep_jumps)
-    if zlog is None:
-        sz = level(0, job_needs, dep_jumps)
-    else:  # the zlog already holds the in-service departures
-        del job_needs, dep_jumps
-        sz = level(0, None, 0)
-    del order, keep
-
-    # t_ep is sorted, so the epochs in [t0, t1] are one slice of it
-    w = slice(np.searchsorted(t_ep, t0, "left"),
-              np.searchsorted(t_ep, t1, "right"))
-    slack_w = sz[w] - np.minimum(sx[w], n_servers - int(needs.max()))
-    if len(slack_w):
-        audit = AuditResult(violations=int((slack_w < 0).sum()),
-                            worst_slack=float(slack_w.min()))
-    else:
-        audit = AuditResult(violations=0, worst_slack=float("inf"))
-    max_busy = float(sz.max()) if len(sz) else 0.0
-    queued = sx >= n_servers
-    del slack_w, sz, sx
+    # P(queueing), one slice of time at a time; see the module docstring
+    limit = n_servers - int(needs.max())
+    violations, worst_slack, max_busy = 0, math.inf, 0
+    t_parts, q_parts = [np.empty(0)], [np.empty(0, dtype=bool)]
+    for t_ep, sx, sz in _epoch_slices(arrivals, departures, types, needs,
+                                      service_starts, zlog):
+        w = slice(np.searchsorted(t_ep, t0, "left"),
+                  np.searchsorted(t_ep, t1, "right"))
+        slack_w = sz[w] - np.minimum(sx[w], limit)
+        if len(slack_w):
+            violations += int(np.count_nonzero(slack_w < 0))
+            worst_slack = min(worst_slack, int(slack_w.min()))
+        max_busy = max(max_busy, int(sz.max()))
+        t_parts.append(t_ep)
+        q_parts.append(sx >= n_servers)
+    audit = AuditResult(violations=violations, worst_slack=float(worst_slack))
+    t_ep, queued = np.concatenate(t_parts), np.concatenate(q_parts)
+    del t_parts, q_parts  # before the qprob integral sets the peak memory
     batch_qprob = _step_integrals(t_ep, queued, edges) / bin_len
 
     lam_mu = needs / np.asarray(mus, dtype=np.float64)
@@ -503,5 +534,5 @@ def collect_stats(*, arrivals, departures, types, needs, mus, n_servers,
         "batch_workload": batch_workload,
         "batch_qprob": batch_qprob,
         "audit": audit,
-        "max_busy": max_busy,
+        "max_busy": float(max_busy),
     }

@@ -117,7 +117,7 @@ class SimResult:
                     self.mean_x, self.mean_z, self.mean_q, self.batch_x,
                     self.batch_z, self.batch_q, self.batch_workload,
                     self.batch_qprob):
-            h.update(np.ascontiguousarray(arr).tobytes())
+            h.update(np.ascontiguousarray(arr))  # its buffer, not a copy
         return h.hexdigest()
 
 

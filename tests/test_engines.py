@@ -190,10 +190,12 @@ def test_step_integrals_last_value_holds_to_window_end():
         0.5, 0.5, 0.0, 0.0]
 
 
-# Measured 134.4 (FCFS) and 149.5 (SNF) bytes per job; a sweep that holds
-# one (times, 2) array of both levels' jumps takes 230 and 297, and SNF start
-# jumps built outside the level's buffer take 166.6.
-@pytest.mark.parametrize("policy, bytes_per_job", [("fcfs", 155), ("snf", 172)])
+# Measured 67.7 bytes per job for FCFS, SNF and SNF-NP alike, set by the
+# qprob integral over the sweep's epochs.  A sweep over the whole run at once
+# takes 134.3 (FCFS, SNF-NP) and 149.5 (SNF); one that also holds a
+# (times, 2) array of both levels' jumps takes 230 and 297.
+@pytest.mark.parametrize("policy, bytes_per_job",
+                         [("fcfs", 80), ("snf", 80), ("snf-np", 80)])
 def test_collect_stats_peak_memory(set_one_64, policy, bytes_per_job):
     """One ``collect_stats`` call, 50k jobs at set one, n=64, allocates at
     most ``bytes_per_job`` per job above its live inputs, as numpy reports
@@ -205,6 +207,8 @@ def test_collect_stats_peak_memory(set_one_64, policy, bytes_per_job):
     starts = zlog = None
     if policy == "snf":
         _, departures, zlog = engines.run_snf(stream, needs, mus, config.n)
+    elif policy == "snf-np":
+        _, starts, departures = engines.run_snf_np(stream, needs, mus, config.n)
     else:
         _, starts, departures = engines.run_order_preserving(
             stream, needs, mus, config.n)

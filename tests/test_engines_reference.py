@@ -14,7 +14,9 @@ reference's start times.  Every system's ``batch_qprob``, audit and
 which sums both levels of the merged epoch sweep in one array, fed with the
 reference's service starts or the SNF log.  Hand-made streams add the ties
 of the head-of-line start-time recursion and of the SNF prefix boundary,
-where arrivals, starts and departures share dyadic times.
+where arrivals, starts and departures share dyadic times.  The sweep also
+runs with slices of 1 and 3 arrivals, so that slice boundaries land on
+times that arrivals, starts and departures share.
 """
 
 import numpy as np
@@ -96,15 +98,25 @@ HAND_MADE = {
 }
 
 
-@given(small_configs(), st.integers(1, 300), st.integers(0, 2**32 - 1))
+# arrivals per slice of collect_stats's merged sweep: 1 and 3 put slice
+# boundaries at most arrival times, where starts and departures tie
+SLICES = (1, 3, engines._SLICE)
+
+
+@given(small_configs(), st.integers(1, 300), st.integers(0, 2**32 - 1),
+       st.sampled_from(SLICES))
 @settings(max_examples=60, deadline=None)
-def test_engines_match_reference_policies(config, jobs, seed):
-    _check_against_reference(config, build_job_stream(seed, jobs, config))
+def test_engines_match_reference_policies(config, jobs, seed, slice_size):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engines, "_SLICE", slice_size)
+        _check_against_reference(config, build_job_stream(seed, jobs, config))
 
 
 @pytest.mark.parametrize("case", HAND_MADE)
-def test_engines_match_reference_policies_on_ties(case):
-    _check_against_reference(*HAND_MADE[case])
+def test_engines_match_reference_policies_on_ties(case, monkeypatch):
+    for slice_size in SLICES:
+        monkeypatch.setattr(engines, "_SLICE", slice_size)
+        _check_against_reference(*HAND_MADE[case])
 
 
 def _check_against_reference(config, stream):
