@@ -36,6 +36,10 @@ def _load(name):
 workloads = _load("workloads")
 tracing = _load("tracing")
 
+# metrics that read 0 if the tracer no longer reaches the calls they time
+REACHED = {"sweep": ("stats.estimate.s", "bounds.evaluate_bounds.s",
+                     "cli.sweep_cell.s_p50")}
+
 
 @pytest.mark.parametrize("name", list(workloads.WORKLOADS))
 def test_checks_pass_traced_and_untraced(name):
@@ -58,6 +62,8 @@ def test_checks_pass_traced_and_untraced(name):
     assert traced == [untraced, untraced]
     for key in tracing.COUNT_METRICS:
         assert metrics[0][key] == metrics[1][key], key
+    for key in REACHED.get(name, ()):
+        assert metrics[0][key] > 0, key
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
     assert {*metrics[0], "tracing.overhead_s"} == {m["name"] for m in declared}
 

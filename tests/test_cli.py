@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 
 import pytest
 from click.testing import CliRunner
@@ -225,6 +226,74 @@ class TestSweep:
         assert serial == parallel
 
 
+class TestRunAndSweepAgree:
+    """``run`` and a ``sweep`` ``sim`` row report one summary of the run."""
+
+    @pytest.fixture
+    def one_type_idle(self, tmp_path):
+        # the second type's expected arrival count is 0.002: none arrives
+        path = tmp_path / "idle.json"
+        path.write_text(json.dumps({"n": 4, "types": [
+            {"lambda": 1.0, "mu": 1.0, "l": 1},
+            {"lambda": 1e-6, "mu": 1.0, "l": 2}]}))
+        return str(path)
+
+    def test_type_with_no_arrival(self, runner, one_type_idle):
+        res = runner.invoke(main, ["run", "--param-set", one_type_idle,
+                                   "--jobs", "2000"])
+        assert res.exit_code == 0, res.output
+        doc = _strict_loads(res.output)
+        assert doc["wait_per_type"] == {"1": {
+            "mean": 0.00631443204126679, "half_width": 0.003853307099199361}}
+        assert doc["mean_x"] == [1.0034355626907918, 0.0]
+        res = runner.invoke(main, ["sweep", "--param-set", one_type_idle,
+                                   "--n", "4", "--policy", "snf",
+                                   "--jobs", "2000"])
+        assert res.exit_code == 0, res.output
+        sim_row = next(dict(zip(CSV_COLUMNS, r)) for r in _csv_rows(res.output)
+                       if r[0] == "sim")
+        assert sim_row["wait_per_type"] == "0.00631443204126679;"
+        assert sim_row["wait_hw_per_type"] == "0.003853307099199361;"
+        assert sim_row["mean_x_per_type"] == "1.0034355626907918;0.0"
+
+    @pytest.mark.parametrize("policy,seed,warmup,batches", [
+        ("fcfs", 0, 0.1, 20), ("snf", 3, 0.2, 10)])
+    def test_same_values(self, runner, policy, seed, warmup, batches):
+        settings = ["--param-set", "one", "--n", "64", "--policy", policy,
+                    "--seed", str(seed), "--jobs", "2000",
+                    "--warmup", str(warmup), "--batches", str(batches)]
+        res = runner.invoke(main, ["run", *settings])
+        assert res.exit_code == 0, res.output
+        doc = _strict_loads(res.output)
+        res = runner.invoke(main, ["sweep", *settings])
+        assert res.exit_code == 0, res.output
+        row = next(dict(zip(CSV_COLUMNS, r)) for r in _csv_rows(res.output)
+                   if r[0] == "sim")
+
+        def num(field):  # the CSV writes an absent interval as inf
+            return float(field) if field else None
+
+        def per_type(field):
+            return [num(v) for v in field.split(";")]
+
+        def interval(value):  # the JSON writes it as null
+            return math.inf if value is None else value
+
+        assert num(row["mean_wait"]) == doc["mean_wait"]
+        assert num(row["mean_wait_hw"]) == interval(doc["mean_wait_hw"])
+        types = range(1, 4)
+        assert per_type(row["wait_per_type"]) == [
+            doc["wait_per_type"][str(i)]["mean"] for i in types]
+        assert per_type(row["wait_hw_per_type"]) == [
+            interval(doc["wait_per_type"][str(i)]["half_width"]) for i in types]
+        assert num(row["qprob"]) == doc["qprob"]
+        assert num(row["workload"]) == doc["workload"]
+        for key in ("mean_x", "mean_z", "mean_q"):
+            assert per_type(row[f"{key}_per_type"]) == doc[key], key
+        assert int(row["audit_violations"]) == doc["audit"]["violations"]
+        assert num(row["audit_worst_slack"]) == doc["audit"]["worst_slack"]
+
+
 class TestBounds:
     def test_json_output(self, runner):
         res = runner.invoke(main, ["bounds", "--param-set", "one", "--n", "64"])
@@ -392,6 +461,12 @@ class TestConfigFileFixesN:
         assert res.exit_code == 0, res.output
 
 
+def _no_memory(*args, **kwargs):
+    # raised by hand: a real oversized allocation could get a host with
+    # overcommit on to kill the process instead
+    raise MemoryError("Unable to allocate 745. GiB")
+
+
 class TestOutOfMemory:
     @pytest.mark.parametrize("args,owner", [
         (["run", "--n", "64", "--jobs", "500"], cli),
@@ -399,14 +474,19 @@ class TestOutOfMemory:
         ids=["run", "couple"])
     def test_memory_error_is_one_line_error(self, runner, monkeypatch, args,
                                             owner):
-        # raised by hand: a real oversized allocation could get a host with
-        # overcommit on to kill the process instead
-        def no_memory(*a, **k):
-            raise MemoryError("Unable to allocate 745. GiB")
-        monkeypatch.setattr(owner, "build_job_stream", no_memory)
+        monkeypatch.setattr(owner, "build_job_stream", _no_memory)
         res = runner.invoke(main, args)
         assert res.exit_code == 1, res.output
         assert res.output == "Error: out of memory: Unable to allocate 745. GiB\n"
+
+    def test_sweep_records_it_in_the_row(self, runner, monkeypatch):
+        monkeypatch.setattr(cli, "build_job_stream", _no_memory)
+        res = runner.invoke(main, ["sweep", "--n", "64", "--jobs", "2000",
+                                   "--policy", "fcfs"])
+        assert res.exit_code == 0, res.output
+        sim_row = next(dict(zip(CSV_COLUMNS, r)) for r in _csv_rows(res.output)
+                       if r[0] == "sim")
+        assert sim_row["error"] == "MemoryError: Unable to allocate 745. GiB"
 
 
 class TestOptionTypes:
