@@ -18,7 +18,7 @@ from . import stats
 from .bounds import evaluate_bounds
 from .model import (ConfigError, ParamSet, SystemConfig, derive_params,
                     make_param_set)
-from .sim import (BATCHES, WARMUP, PolicyKind, build_job_stream,
+from .sim import (BATCHES, WARMUP, PolicyKind, SimResult, build_job_stream,
                   check_batch_settings, simulate)
 from .verify import SUITES, suite_coupling
 
@@ -94,60 +94,62 @@ def _strict_json(doc) -> str:
     return json.dumps(finite(doc), indent=2, allow_nan=False)
 
 
-def _sim_cell(args):
-    """One sweep cell; module-level so worker processes can pickle it."""
-    (param_set, config, policy, seed, jobs, warmup, batches) = args
-    base = {
-        "row_kind": "sim", "param_set": param_set, "n": config.n, "policy": policy,
-        "seed": seed, "jobs": jobs, "warmup": warmup, "batches": batches,
+def _summary(result: SimResult, config: SystemConfig) -> dict:
+    """What a run reports, keyed by the ``sim`` columns of ``CSV_COLUMNS``
+    from ``mean_wait`` to ``event_count``; ``run`` and ``sweep`` only render
+    it.  A type with no arrival after the warm-up has None for its wait and
+    half-width."""
+    waits = stats.mean_waiting_time(result, config)
+    qp = stats.queueing_probability(result)
+    wl = stats.workload(result)
+    per_type = [waits["per_type"].get(i) for i in range(config.num_types)]
+    return {
+        "mean_wait": waits["overall"].mean,
+        "mean_wait_hw": waits["overall"].half_width,
+        "wait_per_type": [e.mean if e else None for e in per_type],
+        "wait_hw_per_type": [e.half_width if e else None for e in per_type],
+        "qprob": qp.mean, "qprob_hw": qp.half_width,
+        "workload": wl.mean, "workload_hw": wl.half_width,
+        "mean_x_per_type": result.mean_x.tolist(),
+        "mean_z_per_type": result.mean_z.tolist(),
+        "mean_q_per_type": result.mean_q.tolist(),
+        "audit_violations": result.audit.violations,
+        "audit_worst_slack": result.audit.worst_slack,
+        "event_count": result.event_count,
     }
-    try:
-        p = derive_params(config)
-        stream = build_job_stream(seed, jobs, config)
-        result = simulate(PolicyKind(policy), config, stream, warmup,
-                          batches=batches)
-        waits = stats.mean_waiting_time(result, config)
-        qp = stats.queueing_probability(result)
-        wl = stats.workload(result)
-        per_type = [waits["per_type"].get(i) for i in range(config.num_types)]
-        base.update({
-            "mean_wait": waits["overall"].mean,
-            "mean_wait_hw": waits["overall"].half_width,
-            "wait_per_type": [e.mean if e else None for e in per_type],
-            "wait_hw_per_type": [e.half_width if e else None for e in per_type],
-            "qprob": qp.mean, "qprob_hw": qp.half_width,
-            "workload": wl.mean, "workload_hw": wl.half_width,
-            "mean_x_per_type": [float(v) for v in result.mean_x],
-            "mean_z_per_type": [float(v) for v in result.mean_z],
-            "mean_q_per_type": [float(v) for v in result.mean_q],
-            "audit_violations": result.audit.violations,
-            "audit_worst_slack": result.audit.worst_slack,
-            "event_count": result.event_count,
-            "delta": p.delta, "sigma2": p.sigma2, "l_max": p.l_max,
-        })
-    except Exception as exc:  # per-cell failures stay in-row
-        base["error"] = f"{type(exc).__name__}: {exc}"
-    return base
 
 
-def _bounds_row(param_set, config: SystemConfig):
-    base = {"row_kind": "bounds", "param_set": param_set, "n": config.n}
+def _row(base: dict, config: SystemConfig, columns) -> dict:
+    """``base`` plus the config's delta, sigma2 and l_max and ``columns()``;
+    a failure goes to the ``error`` column, and the sweep goes on."""
     try:
         p = derive_params(config)
-        report = evaluate_bounds(config)
-        base.update({
-            "delta": p.delta, "sigma2": p.sigma2, "l_max": p.l_max,
-            "workload_lower": report.workload_lower,
-            "workload_upper": report.workload_upper,
-            "fcfs_wait_lower": report.fcfs_wait_lower,
-            "fcfs_wait_upper": report.fcfs_wait_upper,
-            "universal_lower": report.universal_lower,
-            "snf_upper": report.snf_upper,
-            "qp_exponent": report.qp_exponent,
-        })
+        base.update(columns(), delta=p.delta, sigma2=p.sigma2, l_max=p.l_max)
     except Exception as exc:
         base["error"] = f"{type(exc).__name__}: {exc}"
     return base
+
+
+def _sim_cell(args):
+    """One sweep cell; module-level so worker processes can pickle it."""
+    (param_set, config, policy, seed, jobs, warmup, batches) = args
+
+    def columns():
+        stream = build_job_stream(seed, jobs, config)
+        return _summary(simulate(PolicyKind(policy), config, stream, warmup,
+                                 batches=batches), config)
+    return _row({"row_kind": "sim", "param_set": param_set, "n": config.n,
+                 "policy": policy, "seed": seed, "jobs": jobs,
+                 "warmup": warmup, "batches": batches}, config, columns)
+
+
+def _bounds_row(param_set, config: SystemConfig):
+    def columns():  # the bound columns name the report's fields
+        report = evaluate_bounds(config)
+        return {col: getattr(report, col) for col in CSV_COLUMNS[
+            CSV_COLUMNS.index("workload_lower"):CSV_COLUMNS.index("error")]}
+    return _row({"row_kind": "bounds", "param_set": param_set, "n": config.n},
+                config, columns)
 
 
 @dataclass(frozen=True)
@@ -263,22 +265,23 @@ def run(param_set, warmup, batches, n, policy, seed, jobs, out, dump_trajectory)
     stream = build_job_stream(seed, jobs, config)
     result = simulate(PolicyKind(policy), config, stream, warmup,
                       batches=batches, trajectory=dump_trajectory)
-    waits = stats.mean_waiting_time(result, config)
+    summary = _summary(result, config)
+    waits = zip(summary["wait_per_type"], summary["wait_hw_per_type"])
     doc = {
         "config": config.to_file_dict(),
         "policy": policy, "seed": seed, "jobs": jobs, "warmup": warmup,
         "batches": batches,
-        "mean_wait": waits["overall"].mean,
-        "mean_wait_hw": waits["overall"].half_width,
-        "wait_per_type": {
-            str(i + 1): {"mean": e.mean, "half_width": e.half_width}
-            for i, e in waits["per_type"].items()},
-        "qprob": stats.queueing_probability(result).mean,
-        "workload": stats.workload(result).mean,
-        "mean_x": list(result.mean_x), "mean_z": list(result.mean_z),
-        "mean_q": list(result.mean_q),
-        "audit": {"violations": result.audit.violations,
-                  "worst_slack": result.audit.worst_slack},
+        "mean_wait": summary["mean_wait"],
+        "mean_wait_hw": summary["mean_wait_hw"],
+        "wait_per_type": {str(i + 1): {"mean": mean, "half_width": hw}
+                          for i, (mean, hw) in enumerate(waits)
+                          if mean is not None},
+        "qprob": summary["qprob"], "workload": summary["workload"],
+        "mean_x": summary["mean_x_per_type"],
+        "mean_z": summary["mean_z_per_type"],
+        "mean_q": summary["mean_q_per_type"],
+        "audit": {"violations": summary["audit_violations"],
+                  "worst_slack": summary["audit_worst_slack"]},
         "digest": result.digest(),
     }
     click.echo(_strict_json(doc), file=out)
@@ -286,7 +289,8 @@ def run(param_set, warmup, batches, n, policy, seed, jobs, out, dump_trajectory)
 
 @main.command()
 @shared_options
-@click.option("--n", "n_list", type=int, multiple=True, required=True)
+@click.option("--n", "n_list", type=int, multiple=True,
+              help="server count, repeatable; a config file's n by default")
 @click.option("--policy", "policies", multiple=True,
               type=click.Choice([p.value for p in PolicyKind]),
               default=("fcfs", "snf", "snf-np"), show_default=True)
@@ -302,6 +306,7 @@ def sweep(param_set, warmup, batches, n_list, policies, seeds, jobs, workers,
           out):
     """Run the full (n, policy, seed) grid and emit one CSV row per cell
     plus one bounds row per n."""
+    n_list = n_list or (resolve_config(param_set, None).n,)
     spec = SweepSpec(param_set=param_set, n_list=tuple(n_list),
                      policies=tuple(policies), seeds=tuple(seeds), jobs=jobs,
                      warmup=warmup, batches=batches, workers=workers)

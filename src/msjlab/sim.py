@@ -97,22 +97,14 @@ class SimResult:
     def mean_q(self) -> np.ndarray:
         return self.batch_q.mean(axis=0)
 
-    @property
-    def mean_workload(self) -> float:
-        return float(self.batch_workload.mean())
-
-    @property
-    def mean_qprob(self) -> float:
-        return float(self.batch_qprob.mean())
-
     def digest(self) -> str:
         """SHA-256 over all result content; equal digests mean bit-identical runs."""
         h = hashlib.sha256()
         h.update(repr((self.policy.value, self.n_servers, self.seed,
                        self.num_jobs, self.warmup_discarded, self.window,
                        self.batches, self.audit, self.max_busy,
-                       self.event_count, self.mean_workload,
-                       self.mean_qprob)).encode())
+                       self.event_count, float(self.batch_workload.mean()),
+                       float(self.batch_qprob.mean()))).encode())
         for arr in (self.waits, self.arrivals, self.departures, self.types,
                     self.mean_x, self.mean_z, self.mean_q, self.batch_x,
                     self.batch_z, self.batch_q, self.batch_workload,

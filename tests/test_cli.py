@@ -460,6 +460,20 @@ class TestConfigFileFixesN:
         res = runner.invoke(main, args + ["--n", "2"])
         assert res.exit_code == 0, res.output
 
+    def test_sweep_takes_n_from_the_file(self, runner, config_file):
+        res = runner.invoke(main, ["sweep", "--param-set", config_file,
+                                   "--jobs", "2000", "--policy", "fcfs"])
+        assert res.exit_code == 0, res.output
+        rows = [dict(zip(CSV_COLUMNS, r)) for r in _csv_rows(res.output)]
+        assert [(r["row_kind"], r["n"], r["error"]) for r in rows] == [
+            ("bounds", "2", ""), ("sim", "2", "")]
+
+    def test_sweep_of_a_named_set_needs_n(self, runner):
+        res = runner.invoke(main, ["sweep", "--param-set", "two",
+                                   "--jobs", "2000"])
+        assert res.exit_code == 2, res.output
+        assert "--n is required with a named parameter set" in res.output
+
 
 def _no_memory(*args, **kwargs):
     # raised by hand: a real oversized allocation could get a host with
