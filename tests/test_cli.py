@@ -48,6 +48,12 @@ def _csv_rows(text):
     return list(csv.reader(_data_lines(text)))[1:]
 
 
+def _sim_row(text):
+    """The first ``sim`` row of a sweep CSV, keyed by column."""
+    return next(dict(zip(CSV_COLUMNS, r)) for r in _csv_rows(text)
+                if r[0] == "sim")
+
+
 def _strict_loads(text):
     """Parse RFC 8259 JSON: NaN and Infinity are refused."""
     def refuse(name):
@@ -250,8 +256,7 @@ class TestRunAndSweepAgree:
                                    "--n", "4", "--policy", "snf",
                                    "--jobs", "2000"])
         assert res.exit_code == 0, res.output
-        sim_row = next(dict(zip(CSV_COLUMNS, r)) for r in _csv_rows(res.output)
-                       if r[0] == "sim")
+        sim_row = _sim_row(res.output)
         assert sim_row["wait_per_type"] == "0.00631443204126679;"
         assert sim_row["wait_hw_per_type"] == "0.003853307099199361;"
         assert sim_row["mean_x_per_type"] == "1.0034355626907918;0.0"
@@ -267,31 +272,27 @@ class TestRunAndSweepAgree:
         doc = _strict_loads(res.output)
         res = runner.invoke(main, ["sweep", *settings])
         assert res.exit_code == 0, res.output
-        row = next(dict(zip(CSV_COLUMNS, r)) for r in _csv_rows(res.output)
-                   if r[0] == "sim")
-
-        def num(field):  # the CSV writes an absent interval as inf
-            return float(field) if field else None
+        row = _sim_row(res.output)
 
         def per_type(field):
-            return [num(v) for v in field.split(";")]
+            return [float(v) for v in field.split(";")]
 
-        def interval(value):  # the JSON writes it as null
+        def interval(value):  # no interval: null in JSON, inf in the CSV
             return math.inf if value is None else value
 
-        assert num(row["mean_wait"]) == doc["mean_wait"]
-        assert num(row["mean_wait_hw"]) == interval(doc["mean_wait_hw"])
+        assert float(row["mean_wait"]) == doc["mean_wait"]
+        assert float(row["mean_wait_hw"]) == interval(doc["mean_wait_hw"])
         types = range(1, 4)
         assert per_type(row["wait_per_type"]) == [
             doc["wait_per_type"][str(i)]["mean"] for i in types]
         assert per_type(row["wait_hw_per_type"]) == [
             interval(doc["wait_per_type"][str(i)]["half_width"]) for i in types]
-        assert num(row["qprob"]) == doc["qprob"]
-        assert num(row["workload"]) == doc["workload"]
+        assert float(row["qprob"]) == doc["qprob"]
+        assert float(row["workload"]) == doc["workload"]
         for key in ("mean_x", "mean_z", "mean_q"):
             assert per_type(row[f"{key}_per_type"]) == doc[key], key
         assert int(row["audit_violations"]) == doc["audit"]["violations"]
-        assert num(row["audit_worst_slack"]) == doc["audit"]["worst_slack"]
+        assert float(row["audit_worst_slack"]) == doc["audit"]["worst_slack"]
 
 
 class TestBounds:
@@ -498,8 +499,7 @@ class TestOutOfMemory:
         res = runner.invoke(main, ["sweep", "--n", "64", "--jobs", "2000",
                                    "--policy", "fcfs"])
         assert res.exit_code == 0, res.output
-        sim_row = next(dict(zip(CSV_COLUMNS, r)) for r in _csv_rows(res.output)
-                       if r[0] == "sim")
+        sim_row = _sim_row(res.output)
         assert sim_row["error"] == "MemoryError: Unable to allocate 745. GiB"
 
 
