@@ -1,12 +1,15 @@
 """Event-driven engine internals: one fast path per policy family.
 
-Order-preserving non-preemptive policies (FCFS, Modified-FCFS, infinite
-server) reduce to a head-of-line start-time recursion over a single
-departure heap.  SNF needs a full event loop with preemption; SNF-NP a
-non-preemptive admission loop.  All paths emit the same raw material
-(per-job waits / service intervals or an explicit in-service step log),
-which ``collect_stats`` turns into time averages, batch integrals, the
-queueing-probability indicator and the work-conservation audit.
+The non-preemptive policies (FCFS, Modified-FCFS, SNF-NP, infinite server)
+serve each job in one contiguous interval, so they differ only in when each
+job starts.  Their engines return only the start times; ``sim.simulate``
+forms each wait (start - arrival) and departure (start + service time).
+FCFS and Modified-FCFS share a head-of-line start-time recursion over one
+departure heap, and SNF-NP is an admission loop over one waiting heap.
+Preemptive SNF needs a full event loop; it returns the waits, departures and
+an explicit in-service step log.  ``collect_stats`` turns the start times or
+the log into time averages, batch integrals, the queueing-probability
+indicator and the work-conservation audit.
 ``snf_allocation``, SNF's packing of a count vector, which the CTMC oracle
 solves over, sits beside ``run_snf``, SNF's event loop.
 
@@ -34,13 +37,13 @@ the departures.  It walks time in slices cut at every ``_SLICE``-th arrival
 time.  The arrivals and the SNF log are already in time order; the starts
 and the departures are argsorted stably once.  All three sources are split
 with ``searchsorted(..., "left")`` at the same cut times, so every change at
-one time falls in one slice.  A slice's rows are sorted stably, both levels'
-int64 jumps are summed on from the values carried over from the slice
-before, and the last row at each distinct time is kept; the audit,
-``max_busy`` and the ``queued`` indicator use those values at once, so only
-``t_ep`` and ``queued`` span the whole run.  Every jump is an integer, so
-each level at each distinct time is the same exact sum in any grouping of
-the rows: ``t_ep``, the ``qprob`` integrand and the audit keep their bits.
+one time falls in one slice.  A slice's rows, with one int64 jump column
+per level, go through ``step_function``, and the levels carried over from
+the slice before are added; the audit, ``max_busy`` and the ``queued``
+indicator use those values at once, so only ``t_ep`` and ``queued`` span
+the whole run.  Every jump is an integer, so each level at each distinct
+time is the same exact sum in any grouping of the rows: ``t_ep``, the
+``qprob`` integrand and the audit keep their bits.
 """
 
 from __future__ import annotations
@@ -102,30 +105,21 @@ def hol_start_times(arrivals, services, job_needs, n, admit_needs) -> np.ndarray
     return np.frombuffer(starts)
 
 
-def run_order_preserving(stream: JobStream, needs, mus, n_servers: int,
-                         admit_threshold=None):
-    """FCFS (admit_threshold None) or Modified-FCFS (constant threshold).
-
-    Returns (waits, starts, departures); service is one contiguous interval.
-    """
-    types = stream.type_idx
-    job_needs = needs[types]
-    services = stream.unit_service / mus[types]
+def run_order_preserving(stream: JobStream, needs, services, n_servers: int,
+                         admit_threshold=None) -> np.ndarray:
+    """Start times under FCFS (admit_threshold None) or Modified-FCFS
+    (constant threshold), given each job's service time."""
+    job_needs = needs[stream.type_idx]
     admit = job_needs if admit_threshold is None else np.full(
         stream.horizon, admit_threshold, dtype=np.int64)
-    starts = hol_start_times(stream.arrival_times, services, job_needs,
-                             n_servers, admit)
-    departures = starts + services
-    waits = starts - stream.arrival_times
-    return waits, starts, departures
+    return hol_start_times(stream.arrival_times, services, job_needs,
+                           n_servers, admit)
 
 
-def run_infinite_server(stream: JobStream, needs, mus):
-    """Every job enters service on arrival; no capacity constraint."""
-    services = stream.unit_service / mus[stream.type_idx]
-    starts = stream.arrival_times.copy()
-    waits = np.zeros(stream.horizon)
-    return waits, starts, starts + services
+def run_infinite_server(stream: JobStream) -> np.ndarray:
+    """Service start times with no capacity constraint: every job starts on
+    arrival, so this is ``stream.arrival_times`` itself, not a copy."""
+    return stream.arrival_times
 
 
 def snf_allocation(x: Sequence[int] | np.ndarray, n: int,
@@ -252,29 +246,26 @@ def run_snf(stream: JobStream, needs, mus, n_servers: int):
     return np.frombuffer(waits), np.frombuffer(departures), zlog
 
 
-def run_snf_np(stream: JobStream, needs, mus, n_servers: int):
-    """Non-preemptive smallest-need-first admission loop.
+def run_snf_np(stream: JobStream, needs, services, n_servers: int) -> np.ndarray:
+    """Service start times under non-preemptive smallest-need-first
+    admission; ``services`` are the jobs' service times.
 
     Whenever a job may fit, the waiting job with the smallest server need
     (earliest arrival on ties) is admitted while it fits.  The waiting jobs
     are one heap of (need, job id), and every waiting need exceeds ``idle``:
     a departure admits from the head while it fits, and an arrival that fits
     is the smallest waiting job and starts at once.
-
-    Returns (waits, starts, departures); service is contiguous.
     """
     num = stream.horizon
     arrivals = _view(stream.arrival_times)
     type_of = _view(stream.type_idx)
-    services = _view(stream.unit_service / mus[stream.type_idx])
+    services = _view(services)
 
     needs_l = [int(v) for v in needs]
     idle = n_servers
     waiting: list[tuple[int, int]] = []
     heap: list[tuple[float, int]] = []
-    waits = _zeros(num)
     starts = _zeros(num)
-    departures = _zeros(num)
 
     k_next = 0
     while k_next < num or heap:
@@ -284,11 +275,8 @@ def run_snf_np(stream: JobStream, needs, mus, n_servers: int):
             idle += need
             while waiting and waiting[0][0] <= idle:
                 need, jid = heappop(waiting)
-                waits[jid] = t - arrivals[jid]
                 starts[jid] = t
-                d = t + services[jid]
-                departures[jid] = d
-                heappush(heap, (d, need))
+                heappush(heap, (t + services[jid], need))
                 idle -= need
         else:
             t = t_arr
@@ -297,13 +285,11 @@ def run_snf_np(stream: JobStream, needs, mus, n_servers: int):
             k_next += 1
             if need > idle:
                 heappush(waiting, (need, jid))
-            else:  # its wait t - arrivals[jid] is 0.0, as the buffer holds
+            else:
                 starts[jid] = t
-                d = t + services[jid]
-                departures[jid] = d
-                heappush(heap, (d, need))
+                heappush(heap, (t + services[jid], need))
                 idle -= need
-    return np.frombuffer(waits), np.frombuffer(starts), np.frombuffer(departures)
+    return np.frombuffer(starts)
 
 
 def _bin_integrals(lo, hi, edges, values=None, monotone=False):
@@ -344,14 +330,6 @@ def _step_integrals(t, values, edges):
                           monotone=True)
 
 
-def _last_at_each_time(t):
-    """Mask of the last entry at each distinct time of the sorted ``t``."""
-    keep = np.empty(len(t), dtype=bool)
-    keep[:-1] = t[1:] != t[:-1]
-    keep[-1:] = True
-    return keep
-
-
 def step_function(times, deltas):
     """Right-continuous step function from change times and jumps.
 
@@ -365,7 +343,8 @@ def step_function(times, deltas):
     values = np.take(deltas, order, axis=0)
     del order  # lowers the peak memory of a long sweep
     values = np.cumsum(values, axis=0)
-    keep = _last_at_each_time(t)
+    keep = np.ones(len(t), dtype=bool)  # the last row at each distinct time
+    keep[:-1] = t[1:] != t[:-1]
     return np.compress(keep, t), np.compress(keep, values, axis=0)
 
 
@@ -433,7 +412,7 @@ def _epoch_slices(arrivals, departures, types, needs, service_starts, zlog):
         start_cuts = cuts(np.take(service_starts, by_start))
     else:
         start_cuts = cuts(zlog[0])
-    carry = np.zeros((2, 1), dtype=np.int64)  # sx and sz before the slice
+    carry = np.zeros(2, dtype=np.int64)  # sx and sz before the slice
     for (a0, a1), (s0, s1), (d0, d1) in zip(cuts(arrivals), start_cuts,
                                             dep_cuts):
         if zlog is None:
@@ -450,21 +429,16 @@ def _epoch_slices(arrivals, departures, types, needs, service_starts, zlog):
             continue
         # the jumps of sx and sz at the slice's arrivals, starts, departures
         ns, nd = a1 - a0, a1 - a0 + len(start_t)
-        jumps = np.zeros((2, len(times)), dtype=np.int64)
-        jumps[0, :ns] = np.take(needs, types[a0:a1])
-        jumps[1, ns:nd] = start_j
-        np.negative(np.take(needs, np.take(types, rows)), out=jumps[0, nd:])
+        jumps = np.zeros((len(times), 2), dtype=np.int64)
+        jumps[:ns, 0] = np.take(needs, types[a0:a1])
+        jumps[ns:nd, 1] = start_j
+        np.negative(np.take(needs, np.take(types, rows)), out=jumps[nd:, 0])
         if zlog is None:  # the zlog already holds the in-service departures
-            jumps[1, nd:] = jumps[0, nd:]
-        order = np.argsort(times, kind="stable")
-        t = np.take(times, order)
-        keep = _last_at_each_time(t)
-        levels = np.take(jumps, order, axis=1)
-        np.cumsum(levels, axis=1, out=levels)
+            jumps[nd:, 1] = jumps[nd:, 0]
+        t, levels = step_function(times, jumps)
         levels += carry
-        carry = levels[:, -1:].copy()
-        sx, sz = np.compress(keep, levels, axis=1)
-        yield np.compress(keep, t), sx, sz
+        carry = levels[-1].copy()
+        yield t, levels[:, 0], levels[:, 1]
 
 
 def collect_stats(*, arrivals, departures, types, needs, mus, n_servers,

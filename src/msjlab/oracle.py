@@ -114,7 +114,6 @@ class StationarySolution:
     mean_z: np.ndarray
     mean_q: np.ndarray
     workload: float
-    normalized_work: float
     qprob: float
     mean_wait: float
 
@@ -212,7 +211,6 @@ def ctmc_stationary(spec: CtmcSpec) -> StationarySolution:
     mean_z = pi @ z
     mean_q = mean_x - mean_z
     lam_mu = needs / mus
-    offered = lams / mus
     qprob = float(pi[(grid @ needs) >= config.n].sum())
     return StationarySolution(
         pi=pi,
@@ -224,7 +222,6 @@ def ctmc_stationary(spec: CtmcSpec) -> StationarySolution:
         mean_z=mean_z,
         mean_q=mean_q,
         workload=float(lam_mu @ mean_q),
-        normalized_work=float(lam_mu @ (mean_x - offered)),
         qprob=qprob,
         mean_wait=float(mean_q.sum() / lams.sum()),
     )

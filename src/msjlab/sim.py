@@ -124,6 +124,9 @@ def simulate(
 ) -> SimResult:
     """Run one system, with ``config.n`` servers, on the given job stream.
 
+    A non-preemptive engine returns start times only; a job's wait is its
+    start minus its arrival, and its departure its start plus its service
+    time ``unit_service / mu``.  ``run_snf`` returns waits and departures.
     The Modified-FCFS admission threshold and the audit's delta' are the
     config's maximal need.  ``trajectory``, an open text stream, receives
     the per-event records of ``dump_trajectory``.
@@ -137,14 +140,19 @@ def simulate(
     starts = zlog = None
     if policy is PolicyKind.SNF:
         waits, deps, zlog = engines.run_snf(stream, needs, mus, config.n)
-    elif policy is PolicyKind.SNF_NP:
-        waits, starts, deps = engines.run_snf_np(stream, needs, mus, config.n)
-    elif policy is PolicyKind.INFINITE_SERVER:
-        waits, starts, deps = engines.run_infinite_server(stream, needs, mus)
-    else:  # FCFS admits by the job's own need, Modified-FCFS by l_max
-        threshold = params.l_max if policy is PolicyKind.MODIFIED_FCFS else None
-        waits, starts, deps = engines.run_order_preserving(
-            stream, needs, mus, config.n, admit_threshold=threshold)
+    else:  # non-preemptive: the engine gives the start times only
+        services = stream.unit_service / mus[stream.type_idx]
+        if policy is PolicyKind.SNF_NP:
+            starts = engines.run_snf_np(stream, needs, services, config.n)
+        elif policy is PolicyKind.INFINITE_SERVER:
+            starts = engines.run_infinite_server(stream)
+        else:  # FCFS admits by the job's own need, Modified-FCFS by l_max
+            starts = engines.run_order_preserving(
+                stream, needs, services, config.n,
+                params.l_max if policy is PolicyKind.MODIFIED_FCFS else None)
+        waits = starts - stream.arrival_times
+        deps = starts + services
+        del services  # not held through collect_stats, which sets the peak
 
     t1 = float(stream.arrival_times[-1])
     t0 = warmup * t1

@@ -148,7 +148,9 @@ def _check_against_reference(config, stream):
                 axis=1)
             assert np.array_equal(engine_counts, list(counts.values()))
         elif policy is PolicyKind.SNF_NP:
-            _, engine_starts, _ = engines.run_snf_np(stream, needs, mus, config.n)
+            engine_starts = engines.run_snf_np(
+                stream, needs, stream.unit_service / mus[stream.type_idx],
+                config.n)
             assert np.array_equal(engine_starts, starts)
         sweep = merged_sweep(arrivals=stream.arrival_times,
                              departures=result.departures,

@@ -78,11 +78,6 @@ class TestCtmc:
             assert sol.mean_z[i] == pytest.approx(
                 t.arrival_rate / t.service_rate, abs=1e-8)
 
-    @pytest.mark.parametrize("fixture", ["whole_machine", "mm2", "two_type"])
-    def test_workload_normalized_work_identity(self, fixture, request):
-        sol = ctmc_stationary_auto(request.getfixturevalue(fixture))
-        assert sol.workload == pytest.approx(sol.normalized_work, abs=1e-8)
-
     def test_deterministic_moments(self, request):
         # the benchmark requires byte-identical outputs from every unit
         for fixture in ("two_type", "box_spec"):

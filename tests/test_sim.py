@@ -78,6 +78,15 @@ def test_identical_coupled_systems_identical_results(set_one_64):
     assert a.digest() == b.digest()
 
 
+def test_simulate_leaves_the_shared_stream_unchanged(set_one_64):
+    # the infinite server's start times are the stream's arrivals array itself
+    stream = build_job_stream(6, 5000, set_one_64)
+    simulate_coupled([(p, None) for p in PolicyKind], set_one_64, stream)
+    fresh = build_job_stream(6, 5000, set_one_64)
+    for name in ("arrival_times", "unit_service", "type_idx"):
+        assert getattr(stream, name).tobytes() == getattr(fresh, name).tobytes()
+
+
 class TestSandwich:
     def triple(self, config, stream):
         return simulate_coupled(sandwich_systems(config), config, stream)
