@@ -237,8 +237,8 @@ def test_collect_stats_peak_memory(set_one_64, policy, bytes_per_job):
 # Measured FCFS 92.2, SNF 136.3, SNF-NP 92.2, Modified-FCFS 92.1 and
 # infinite server 83.7 bytes per job: the result's waits and departures,
 # the engine's start times (SNF: its log and buffers) and one
-# ``collect_stats`` peak.  Each bound is about 5% above, below the measured
-# value plus one more 8-byte-per-job array held through ``collect_stats``.
+# ``collect_stats`` peak.  Each bound is about 5% above its value, so one
+# more 8-byte-per-job array held through ``collect_stats`` fails it.
 @pytest.mark.parametrize("policy, bytes_per_job",
                          [("fcfs", 97), ("snf", 143), ("snf-np", 97),
                           ("mod-fcfs", 97), ("inf", 88)])
