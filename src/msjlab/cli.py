@@ -49,6 +49,8 @@ def resolve_config(param_set: str, n: int | None) -> SystemConfig:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {param_set!r} is not valid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file {param_set!r} cannot be read: {exc}") from exc
     config = SystemConfig.from_file_dict(doc)
     if n is not None and n != config.n:
         raise ConfigError(f"--n {n} contradicts n={config.n} in {param_set!r}")

@@ -7,9 +7,11 @@ forms each wait (start - arrival) and departure (start + service time).
 FCFS and Modified-FCFS share a head-of-line start-time recursion over one
 departure heap, and SNF-NP is an admission loop over one waiting heap.
 Preemptive SNF needs a full event loop; it returns the waits, departures and
-an explicit in-service step log.  ``collect_stats`` turns the start times or
-the log into time averages, batch integrals, the queueing-probability
-indicator and the work-conservation audit.
+an explicit in-service step log: a float64 time and a type and a +-1 step per
+change, the type and step in int8 for at most 128 types and in int64 beyond.
+``collect_stats`` turns the start times or the log into time averages, batch
+integrals, the queueing-probability indicator and the work-conservation
+audit.
 ``snf_allocation``, SNF's packing of a count vector, which the CTMC oracle
 solves over, sits beside ``run_snf``, SNF's event loop.
 
@@ -40,10 +42,12 @@ with ``searchsorted(..., "left")`` at the same cut times, so every change at
 one time falls in one slice.  A slice's rows, with one int64 jump column
 per level, go through ``step_function``, and the levels carried over from
 the slice before are added; the audit, ``max_busy`` and the ``queued``
-indicator use those values at once, so only ``t_ep`` and ``queued`` span
-the whole run.  Every jump is an integer, so each level at each distinct
-time is the same exact sum in any grouping of the rows: ``t_ep``, the
-``qprob`` integrand and the audit keep their bits.
+indicator use those values at once, so only ``t_ep`` and the bool
+``queued`` parts span the whole run; the parts are joined straight into the
+float64 ``qprob`` integrand once ``t_ep`` is whole, and the integral takes
+``t_ep[1:]`` as its interval ends, a view.  Every jump is an integer, so
+each level at each distinct time is the same exact sum in any grouping of
+the rows: ``t_ep``, the ``qprob`` integrand and the audit keep their bits.
 """
 
 from __future__ import annotations
@@ -152,9 +156,12 @@ def run_snf(stream: JobStream, needs, mus, n_servers: int):
     Preempted jobs re-queue and draw a fresh service clock on resume (role-3
     stream), which is distribution-preserving for exponential service.
 
-    Returns (waits, departures, zlog): zlog = (times float64, type int64,
-    dz int64) holds every change of the in-service count vector in order,
-    logged as a time and a code, i for a start of type i and ~i for a stop.
+    Returns (waits, departures, zlog): zlog = (times float64, type, dz)
+    holds every change of the in-service count vector in order, logged as a
+    time and a code, i for a start of type i and ~i for a stop.  With at
+    most 128 types every code fits a signed byte, so the log and its type
+    and dz columns are int8; beyond that they are int64.  ``cumsum`` and
+    ``sum`` of int8 accumulate in int64, and ``needs[type] * dz`` is int64.
     """
     num = stream.horizon
     arrivals = _view(stream.arrival_times)
@@ -172,7 +179,8 @@ def run_snf(stream: JobStream, needs, mus, n_servers: int):
     clock_epoch = [0] * num
     heap: list[tuple[float, int, int]] = []
     resample = resample_draws(stream.seed)
-    log_t, log_code = array("d"), array("q")
+    # codes i and ~i fit a signed byte while there are at most 128 types
+    log_t, log_code = array("d"), array("b" if len(needs_l) <= 128 else "q")
     put_t, put_code = log_t.append, log_code.append
 
     k_next = 0
@@ -239,10 +247,11 @@ def run_snf(stream: JobStream, needs, mus, n_servers: int):
             clock_epoch[jid] += 1
             put_t(t)
             put_code(~i)
-    codes = np.frombuffer(log_code, dtype=np.int64)
+    codes = np.frombuffer(log_code, dtype=f"i{log_code.itemsize}")
     stops = codes < 0
+    one = codes.dtype.type(1)
     zlog = (np.frombuffer(log_t), np.where(stops, ~codes, codes),
-            np.where(stops, -1, 1))
+            np.where(stops, -one, one))
     return np.frombuffer(waits), np.frombuffer(departures), zlog
 
 
@@ -294,7 +303,9 @@ def run_snf_np(stream: JobStream, needs, services, n_servers: int) -> np.ndarray
 
 def _bin_integrals(lo, hi, edges, values=None, monotone=False):
     """Per bin [edges[b], edges[b+1]), the summed overlap of the intervals
-    [lo[k], hi[k]) with it, each weighted by values[k] if given.
+    [lo[k], hi[k]) with it, each weighted by values[k] if given.  A ``hi``
+    one shorter than ``lo`` leaves the last interval open-ended: it overlaps
+    each bin up to the bin's right edge.
 
     Intervals before ``first`` (running max of ``hi`` <= a) and from ``last``
     on (suffix min of ``lo`` >= b) overlap the bin by <= 0, which clips to
@@ -312,7 +323,9 @@ def _bin_integrals(lo, hi, edges, values=None, monotone=False):
     for j, (a, b, first, last) in enumerate(zip(edges[:-1], edges[1:],
                                                  firsts, lasts)):
         seg = overlap[first:last]
-        np.minimum(hi[first:last], b, out=seg)
+        ends = hi[first:last]  # one short if it takes in the open interval
+        np.minimum(ends, b, out=seg[:len(ends)])
+        seg[len(ends):] = b
         seg -= np.maximum(lo[first:last], a)
         np.clip(seg, 0.0, None, out=seg)
         out[j] = overlap.sum() if values is None else np.dot(values, overlap)
@@ -322,11 +335,13 @@ def _bin_integrals(lo, hi, edges, values=None, monotone=False):
 
 def _step_integrals(t, values, edges):
     """Per bin, the integral of the step function that is ``values[k]`` on
-    [t[k], t[k+1]) and ``values[-1]`` up to max(edges[-1], t[-1]); 0 if empty."""
+    [t[k], t[k+1]) and ``values[-1]`` from t[-1] on; 0 if empty.  The
+    interval ends are the view ``t[1:]``, the last interval open-ended; the
+    sums are those of the explicit last end max(edges[-1], t[-1]), which
+    clips to every bin's right edge."""
     if len(t) == 0:
         return np.zeros(len(edges) - 1)
-    ends = np.append(t[1:], max(edges[-1], t[-1]))
-    return _bin_integrals(t, ends, edges, np.asarray(values, dtype=np.float64),
+    return _bin_integrals(t, t[1:], edges, np.asarray(values, dtype=np.float64),
                           monotone=True)
 
 
@@ -496,8 +511,10 @@ def collect_stats(*, arrivals, departures, types, needs, mus, n_servers,
         t_parts.append(t_ep)
         q_parts.append(sx >= n_servers)
     audit = AuditResult(violations=violations, worst_slack=float(worst_slack))
-    t_ep, queued = np.concatenate(t_parts), np.concatenate(q_parts)
-    del t_parts, q_parts  # before the qprob integral sets the peak memory
+    t_ep = np.concatenate(t_parts)
+    del t_parts  # before the integrand and the qprob integral set the peak
+    queued = np.concatenate(q_parts, dtype=np.float64)
+    del q_parts
     batch_qprob = _step_integrals(t_ep, queued, edges) / bin_len
 
     lam_mu = needs / np.asarray(mus, dtype=np.float64)

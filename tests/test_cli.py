@@ -419,6 +419,18 @@ class TestConfigErrorIsUsageError:
         assert res.exit_code == 2, res.output
         assert message in res.output
 
+    @pytest.mark.parametrize("command", ["run", "sweep", "bounds", "couple"])
+    @pytest.mark.parametrize("kind", ["directory", "undecodable"])
+    def test_unreadable_config_file(self, runner, tmp_path, kind, command):
+        path = tmp_path / "config.json"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"\xff\xfe")  # not UTF-8
+        res = runner.invoke(main, [command, "--param-set", str(path)])
+        assert res.exit_code == 2, res.output
+        assert f"config file {str(path)!r} cannot be read" in res.output
+
     @pytest.mark.parametrize("command", ["run", "couple"])
     def test_overloaded_config_file(self, runner, tmp_path, command):
         over = tmp_path / "over.json"

@@ -135,8 +135,10 @@ def _check_against_reference(config, stream):
         if policy is PolicyKind.SNF:
             _, _, zlog = engines.run_snf(stream, needs, mus, config.n)
             trajectory = {"zlog": zlog}
-            # the (times, type, dz) columns perfbench's span attributes read
-            assert [a.dtype for a in zlog] == [np.float64, np.int64, np.int64]
+            # the (times, type, dz) columns perfbench's span attributes read;
+            # codes of at most 128 types are logged in signed bytes
+            code = np.int8 if config.num_types <= 128 else np.int64
+            assert [a.dtype for a in zlog] == [np.float64, code, code]
             assert len(zlog[0]) == len(zlog[1]) == len(zlog[2])
             # an event moves at most one job besides its own, one log entry each
             assert (np.abs(zlog[2]) == 1).all()
