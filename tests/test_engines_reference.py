@@ -16,7 +16,8 @@ reference's service starts or the SNF log.  Hand-made streams add the ties
 of the head-of-line start-time recursion and of the SNF prefix boundary,
 where arrivals, starts and departures share dyadic times.  The sweep also
 runs with slices of 1 and 3 arrivals, so that slice boundaries land on
-times that arrivals, starts and departures share.
+times that arrivals, starts and departures share.  Configs of 128 and 130
+types put the SNF log at the edge of its int8 width and past it.
 """
 
 import numpy as np
@@ -25,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from msjlab import (JobTypeSpec, PolicyKind, SystemConfig, build_job_stream,
-                    derive_params, simulate_coupled)
+                    derive_params, simulate, simulate_coupled)
 from msjlab import engines
 from msjlab.stream import JobStream
 from reference import merged_sweep, reference_run
@@ -119,6 +120,37 @@ def test_engines_match_reference_policies_on_ties(case, monkeypatch):
         _check_against_reference(*HAND_MADE[case])
 
 
+def _wide_config(num_types):
+    """Many types of need 1 + k // 40 at rate 0.4 on 120 servers, a load of
+    about 0.93 at 130 types, so the top types are preempted often."""
+    return SystemConfig(n=120, types=tuple(
+        JobTypeSpec(0.4, 1.0, 1 + k // 40) for k in range(num_types)))
+
+
+@pytest.mark.parametrize("num_types", [128, 130])
+def test_engines_match_reference_policies_at_128_types(num_types):
+    # 128 types log type 127 and its stop ~127 = -128 in int8; 130 widen
+    # the log to int64
+    config = _wide_config(num_types)
+    _check_against_reference(config, build_job_stream(0, 1000, config))
+
+
+def test_snf_wide_log_keeps_digest_and_preemptions():
+    """More than 128 types: SNF logs int64 codes and keeps the digest and
+    the preemption count of an int64 log throughout."""
+    config, jobs = _wide_config(130), 20_000
+    stream = build_job_stream(0, jobs, config)
+    _, _, zlog = engines.run_snf(
+        stream, np.asarray(config.server_needs, dtype=np.int64),
+        np.asarray(config.service_rates, dtype=np.float64), config.n)
+    assert [a.dtype for a in zlog] == [np.float64, np.int64, np.int64]
+    dz = zlog[2]
+    # every stop is a departure or a preemption, and every job departs once
+    assert int(-dz[dz < 0].sum()) - jobs == 5735
+    assert simulate(PolicyKind.SNF, config, stream).digest() == (
+        "e0788a48867b707e08aae1ffb22b721ca804cd4ed168397b716b4f4dccb91b4b")
+
+
 def _check_against_reference(config, stream):
     l_max = derive_params(config).l_max
     systems = [(p, config.n) for p in PolicyKind]
@@ -142,6 +174,9 @@ def _check_against_reference(config, stream):
             assert len(zlog[0]) == len(zlog[1]) == len(zlog[2])
             # an event moves at most one job besides its own, one log entry each
             assert (np.abs(zlog[2]) == 1).all()
+            # perfbench's counts sum the steps: exact past int8's range too
+            stops = zlog[2] < 0
+            assert int(-zlog[2][stops].sum()) == np.count_nonzero(stops)
             event_times = np.fromiter(counts, dtype=np.float64)
             assert np.isin(zlog[0], event_times).all()
             engine_counts = np.stack(
