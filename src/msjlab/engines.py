@@ -5,13 +5,14 @@ serve each job in one contiguous interval, so they differ only in when each
 job starts.  Their engines return only the start times; ``sim.simulate``
 forms each wait (start - arrival) and departure (start + service time).
 FCFS and Modified-FCFS share a head-of-line start-time recursion over one
-departure heap, and SNF-NP is an admission loop over one waiting heap.
+departure heap in ``run_order_preserving``, which sets Modified-FCFS's
+threshold, the maximal need; SNF-NP is an admission loop over one heap.
 Preemptive SNF needs a full event loop; it returns the waits, departures and
 an explicit in-service step log: a float64 time and a type and a +-1 step per
 change, the type and step in int8 for at most 128 types and in int64 beyond.
 ``collect_stats`` turns the start times or the log into time averages, batch
 integrals, the queueing-probability indicator and the work-conservation
-audit.
+audit, with one pass per type over its job and in-service counts.
 ``snf_allocation``, SNF's packing of a count vector, which the CTMC oracle
 solves over, sits beside ``run_snf``, SNF's event loop.
 
@@ -110,12 +111,12 @@ def hol_start_times(arrivals, services, job_needs, n, admit_needs) -> np.ndarray
 
 
 def run_order_preserving(stream: JobStream, needs, services, n_servers: int,
-                         admit_threshold=None) -> np.ndarray:
-    """Start times under FCFS (admit_threshold None) or Modified-FCFS
-    (constant threshold), given each job's service time."""
+                         modified=False) -> np.ndarray:
+    """Start times under FCFS or, if ``modified``, Modified-FCFS, which
+    admits every job by the maximal need, given each job's service time."""
     job_needs = needs[stream.type_idx]
-    admit = job_needs if admit_threshold is None else np.full(
-        stream.horizon, admit_threshold, dtype=np.int64)
+    admit = (np.full(stream.horizon, needs.max(), dtype=np.int64) if modified
+             else job_needs)
     return hol_start_times(stream.arrival_times, services, job_needs,
                            n_servers, admit)
 
@@ -339,8 +340,6 @@ def _step_integrals(t, values, edges):
     interval ends are the view ``t[1:]``, the last interval open-ended; the
     sums are those of the explicit last end max(edges[-1], t[-1]), which
     clips to every bin's right edge."""
-    if len(t) == 0:
-        return np.zeros(len(edges) - 1)
     return _bin_integrals(t, t[1:], edges, np.asarray(values, dtype=np.float64),
                           monotone=True)
 
@@ -379,13 +378,12 @@ def count_steps(lo, hi, types, num_types):
                          np.concatenate([onehot, -onehot]))
 
 
-def in_service_steps(zlog, num_types):
-    """Per type, the in-service count of an SNF ``zlog`` as a step function
-    (change times, count after each change), yielded one type at a time."""
+def in_service_step(zlog, i):
+    """Type i's in-service count of an SNF ``zlog`` as a step function:
+    its change times and the count after each change."""
     zt, zi, zdz = zlog
-    for i in range(num_types):
-        mask = zi == i
-        yield np.compress(mask, zt), np.cumsum(np.compress(mask, zdz))
+    mask = zi == i
+    return np.compress(mask, zt), np.cumsum(np.compress(mask, zdz))
 
 
 @dataclass(frozen=True)
@@ -485,10 +483,8 @@ def collect_stats(*, arrivals, departures, types, needs, mus, n_servers,
         if zlog is None:
             batch_z[:, i] = _bin_integrals(np.compress(mask, service_starts),
                                            deps_i, edges)
-    if zlog is not None:  # one type's step function at a time
-        for i, step in enumerate(in_service_steps(zlog, num_types)):
-            batch_z[:, i] = _step_integrals(*step, edges)
-        del step
+        else:
+            batch_z[:, i] = _step_integrals(*in_service_step(zlog, i), edges)
     del mask, deps_i  # the last type's rows, before the sweep
     batch_x /= bin_len
     batch_z /= bin_len

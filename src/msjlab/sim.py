@@ -127,12 +127,12 @@ def simulate(
     A non-preemptive engine returns start times only; a job's wait is its
     start minus its arrival, and its departure its start plus its service
     time ``unit_service / mu``.  ``run_snf`` returns waits and departures.
-    The Modified-FCFS admission threshold and the audit's delta' are the
-    config's maximal need.  ``trajectory``, an open text stream, receives
+    The Modified-FCFS engine and the audit set their threshold and delta' to
+    the config's maximal need.  ``trajectory``, an open text stream, receives
     the per-event records of ``dump_trajectory``.
     """
     policy = PolicyKind(policy)
-    params = derive_params(config)
+    derive_params(config)  # refuses an overloaded config
     check_batch_settings(warmup, batches)
     needs = np.asarray(config.server_needs, dtype=np.int64)
     mus = np.asarray(config.service_rates, dtype=np.float64)
@@ -146,10 +146,10 @@ def simulate(
             starts = engines.run_snf_np(stream, needs, services, config.n)
         elif policy is PolicyKind.INFINITE_SERVER:
             starts = engines.run_infinite_server(stream)
-        else:  # FCFS admits by the job's own need, Modified-FCFS by l_max
+        else:
             starts = engines.run_order_preserving(
                 stream, needs, services, config.n,
-                params.l_max if policy is PolicyKind.MODIFIED_FCFS else None)
+                modified=policy is PolicyKind.MODIFIED_FCFS)
         waits = starts - stream.arrival_times
         deps = starts + services
         del services  # not held through collect_stats, which sets the peak
@@ -291,9 +291,9 @@ def dump_trajectory(result: SimResult, config: SystemConfig, out,
         z_at = engines.step_at(*engines.count_steps(
             service_starts, result.departures, result.types, num_types), t_sorted)
     else:
-        z_at = np.stack([engines.step_at(t, c, t_sorted)
-                         for t, c in engines.in_service_steps(zlog, num_types)],
-                        axis=1)
+        z_at = np.stack([engines.step_at(*engines.in_service_step(zlog, i),
+                                         t_sorted)
+                         for i in range(num_types)], axis=1)
     out.write("t\tkind\ttype\tx\tz\n")
     for row, idx in enumerate(order.tolist()):
         xs = ";".join(str(int(v)) for v in x_at[row])

@@ -397,6 +397,12 @@ class TestConfigErrorIsUsageError:
         assert res.exit_code == 2, res.output
         assert "parameter sets require n >= 64, got 32" in res.output
 
+    def test_missing_config_file(self, runner, tmp_path):
+        missing = tmp_path / "missing.json"
+        res = runner.invoke(main, ["run", "--param-set", str(missing)])
+        assert res.exit_code == 2, res.output
+        assert "is neither one/two nor a file" in res.output
+
     def test_invalid_config_file(self, runner, tmp_path):
         bad = tmp_path / "bad.json"  # needs must be nondecreasing
         bad.write_text(json.dumps({"n": 8, "types": [

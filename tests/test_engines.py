@@ -238,31 +238,23 @@ COLLECT_STATS_PEAK = {"fcfs": 58, "snf": 54, "snf-np": 58}
 
 
 @pytest.mark.parametrize("policy", COLLECT_STATS_PEAK)
-def test_collect_stats_peak_memory(set_one_64, policy):
-    """One ``collect_stats`` call, 50k jobs at set one, n=64, allocates at
-    most ``COLLECT_STATS_PEAK[policy]`` bytes per job above its live
-    inputs."""
-    config, jobs = set_one_64, 50_000
-    stream = build_job_stream(0, jobs, config)
-    needs = np.asarray(config.server_needs, dtype=np.int64)
-    mus = np.asarray(config.service_rates, dtype=np.float64)
-    starts = zlog = None
-    if policy == "snf":
-        _, departures, zlog = engines.run_snf(stream, needs, mus, config.n)
-    else:
-        services = stream.unit_service / mus[stream.type_idx]
-        engine = (engines.run_snf_np if policy == "snf-np"
-                  else engines.run_order_preserving)
-        starts = engine(stream, needs, services, config.n)
-        departures = starts + services
-        del services  # as simulate drops it before collect_stats
-    t1 = float(stream.arrival_times[-1])
-    peak = _peak_bytes_per_job(lambda: engines.collect_stats(
-        arrivals=stream.arrival_times, departures=departures,
-        types=stream.type_idx, needs=needs, mus=mus, n_servers=config.n,
-        window=(0.1 * t1, t1), batches=20, service_starts=starts,
-        zlog=zlog), jobs)
-    assert peak <= COLLECT_STATS_PEAK[policy]
+def test_collect_stats_peak_memory(set_one_64, policy, monkeypatch):
+    """``simulate``'s one ``collect_stats`` call, 50k jobs at set one, n=64,
+    allocates at most ``COLLECT_STATS_PEAK[policy]`` bytes per job above its
+    live inputs."""
+    jobs, peaks = 50_000, []
+    stream = build_job_stream(0, jobs, set_one_64)
+    collect_stats = engines.collect_stats
+
+    def measured(**kwargs):
+        out = []
+        peaks.append(_peak_bytes_per_job(
+            lambda: out.append(collect_stats(**kwargs)), jobs))
+        return out[0]
+
+    monkeypatch.setattr(engines, "collect_stats", measured)
+    simulate(PolicyKind(policy), set_one_64, stream)
+    assert len(peaks) == 1 and peaks[0] <= COLLECT_STATS_PEAK[policy]
 
 
 # Measured FCFS 79.5, SNF 90.3, SNF-NP 79.5, Modified-FCFS 79.4 and

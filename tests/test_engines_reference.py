@@ -69,7 +69,8 @@ def _hand_made(n, types, arrivals, unit_service, type_idx):
 # SNF prefix boundary: an arrival just behind the prefix whose need equals
 # the free servers, or exceeds them by one; a small-need arrival inside the
 # prefix that preempts its last job; and two equal-need types whose waiting
-# jobs SNF takes by type and SNF-NP by arrival.
+# jobs SNF takes by type and SNF-NP by arrival.  Last, simultaneous
+# arrivals, which leave some slices of the merged sweep with no change.
 HAND_MADE = {
     "departure at next arrival": _hand_made(
         2, [(0.25, 1.0, 1), (0.25, 2.0, 2)],
@@ -96,6 +97,11 @@ HAND_MADE = {
     "equal needs, later type arrived first": _hand_made(
         2, [(0.125, 1.0, 2), (0.125, 1.0, 2)], [0.0, 0.5, 1.0],
         [2.0, 1.0, 1.0], [0, 1, 0]),
+    "tied arrivals": _hand_made(
+        3, [(0.5, 1.0, 1), (0.25, 1.0, 2)],
+        [0.0, 0.5, 0.5, 0.5, 1.0, 2.0, 2.0, 3.0],
+        [1.0, 2.0, 0.5, 1.0, 0.25, 1.0, 0.5, 0.5],
+        [0, 1, 0, 1, 0, 0, 1, 0]),
 }
 
 
@@ -180,9 +186,8 @@ def _check_against_reference(config, stream):
             event_times = np.fromiter(counts, dtype=np.float64)
             assert np.isin(zlog[0], event_times).all()
             engine_counts = np.stack(
-                [engines.step_at(t, c, event_times)
-                 for t, c in engines.in_service_steps(zlog, config.num_types)],
-                axis=1)
+                [engines.step_at(*engines.in_service_step(zlog, i), event_times)
+                 for i in range(config.num_types)], axis=1)
             assert np.array_equal(engine_counts, list(counts.values()))
         elif policy is PolicyKind.SNF_NP:
             engine_starts = engines.run_snf_np(

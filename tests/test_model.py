@@ -192,6 +192,12 @@ def test_file_dict_round_trip(set_one_64):
     ({"n": 8, "types": [{"lambda": True, "mu": 1.0, "l": 1}]}, "lambda must be a JSON number"),
     ({"n": 8, "types": [{"lambda": 0.1, "mu": "1", "l": 1}]}, "mu must be a JSON number"),
     ({"n": 8, "types": [{"lambda": 10**400, "mu": 1.0, "l": 1}]}, "malformed config"),
+    # well-typed values out of range
+    ({"n": 8, "types": [{"lambda": 0.1, "mu": 0, "l": 1}]}, "service_rate must be > 0"),
+    ({"n": 8, "types": [{"lambda": 0.1, "mu": 1.0, "l": 0}]},
+     "server_need must be an integer >= 1"),
+    ({"n": 0, "types": [{"lambda": 0.1, "mu": 1.0, "l": 1}]}, "n must be an integer >= 1"),
+    ({"n": 8, "types": []}, "at least one job type is required"),
 ])
 def test_config_file_dict_errors_are_config_errors(doc, match):
     with pytest.raises(ConfigError, match=match):

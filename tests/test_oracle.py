@@ -40,6 +40,10 @@ class TestErlangC:
         with pytest.raises(ValueError, match="unstable"):
             erlang_c(2, 2.0, 1.0)
 
+    def test_no_servers_rejected(self):
+        with pytest.raises(ValueError, match="n >= 1"):
+            erlang_c(0, 1.0, 1.0)
+
 
 def test_mm1_whole_machine_closed_forms():
     out = mm1_whole_machine(0.5, 1.0)
@@ -147,6 +151,9 @@ class TestCtmc:
         with pytest.raises(ValueError):
             CtmcSpec(config=two_type, allocation=snf_allocation_fn(two_type),
                      cap=(5,))
+        with pytest.raises(ValueError, match="caps must be >= 1"):
+            CtmcSpec(config=two_type, allocation=snf_allocation_fn(two_type),
+                     cap=(0, 5))
 
     def test_empty_state_not_recurrent_rejected(self, two_type):
         # serving nothing lets jobs pile up at the caps and never drain

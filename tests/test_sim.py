@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 import msjlab
-from msjlab import (DOMINANCE_SYSTEMS, PolicyKind, build_job_stream,
-                    check_couplings, check_infinite_server_dominance,
-                    check_sandwich, derive_params, mean_waiting_time,
-                    sandwich_systems, simulate, simulate_coupled)
+from msjlab import (DOMINANCE_SYSTEMS, JobStream, PolicyKind,
+                    build_job_stream, check_couplings,
+                    check_infinite_server_dominance, check_sandwich,
+                    derive_params, mean_waiting_time, sandwich_systems,
+                    simulate, simulate_coupled)
 from msjlab import sim, stats
 from reference import audit_work_conservation, infinite_server_dominance
 
@@ -51,6 +52,16 @@ def test_warmup_validation(mm2):
         simulate(PolicyKind.FCFS, mm2, stream, warmup=-0.1)
     with pytest.raises(ValueError, match="at least 2 batches"):
         simulate(PolicyKind.FCFS, mm2, stream, batches=1)
+
+
+@pytest.mark.parametrize("policy", PolicyKind)
+def test_arrivals_all_at_zero_rejected(policy, mm2):
+    # a last arrival at 0 leaves the window [warmup * t1, t1] empty
+    stream = JobStream(seed=0, arrival_times=np.zeros(3),
+                       unit_service=np.ones(3),
+                       type_idx=np.zeros(3, dtype=np.int64))
+    with pytest.raises(ValueError, match="empty statistics window"):
+        simulate(policy, mm2, stream)
 
 
 def test_need_exceeding_servers_rejected(whole_machine):
@@ -158,6 +169,8 @@ class TestInfiniteServerDominance:
                      build_job_stream(0, 200, set_one_64))
         with pytest.raises(ValueError):
             check_infinite_server_dominance([a, b])
+        with pytest.raises(ValueError, match="infinite-server, finite"):
+            check_infinite_server_dominance([a])
 
     def test_uncoupled_pair_rejected(self, set_one_64):
         a = simulate(PolicyKind.INFINITE_SERVER, set_one_64,
