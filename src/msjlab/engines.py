@@ -7,14 +7,18 @@ forms each wait (start - arrival) and departure (start + service time).
 FCFS and Modified-FCFS share a head-of-line start-time recursion over one
 departure heap in ``run_order_preserving``, which sets Modified-FCFS's
 threshold, the maximal need; SNF-NP is an admission loop over one heap.
-Preemptive SNF needs a full event loop; it returns the waits, departures and
-an explicit in-service step log: a float64 time and a type and a +-1 step per
-change, the type and step in int8 for at most 128 types and in int64 beyond.
+Preemptive SNF returns the waits, departures and an explicit in-service step
+log: a float64 time and a type and a +-1 step per change, the type and step
+in int8 for at most 128 types and in int64 beyond.  Its type 0, never
+preempted, is first come first served on n // l_0 slots (the c-server
+recursion ``slot_start_times``); only the larger types go through the event
+loop, which sees type 0 as capacity events merged by time into their
+arrivals.  At one instant departures come first, each kind by job id.
 ``collect_stats`` turns the start times or the log into time averages, batch
 integrals, the queueing-probability indicator and the work-conservation
 audit, with one pass per type over its job and in-service counts.
 ``snf_allocation``, SNF's packing of a count vector, which the CTMC oracle
-solves over, sits beside ``run_snf``, SNF's event loop.
+solves over, sits beside ``run_snf``, SNF's engine.
 
 Inner-loop convention: the event loops touch a few array elements per event,
 and indexing a numpy array boxes a fresh numpy scalar on every read, which
@@ -57,7 +61,7 @@ import math
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heapreplace
 from typing import Sequence
 
 import numpy as np
@@ -140,8 +144,36 @@ def snf_allocation(x: Sequence[int] | np.ndarray, n: int,
     return z
 
 
+def slot_start_times(arrivals, services, slots: int) -> np.ndarray:
+    """Start times of first-come-first-served jobs that each take one of
+    ``slots`` identical slots: job k starts at max(its arrival, the time a
+    slot comes free for it), the c-server recursion of Kiefer and Wolfowitz
+    (1955) over one heap of the slots' free times."""
+    free_at = [-math.inf] * slots
+    starts = array("d")
+    push = starts.append
+    for a, service in zip(_view(arrivals), _view(services)):
+        f = free_at[0]
+        t = a if a > f else f
+        heapreplace(free_at, t + service)
+        push(t)
+    return np.frombuffer(starts)
+
+
+def _merge_positions(x, before, after):
+    """Positions of the sorted ``x`` in the stable merge of ``x`` with the
+    sorted arrays in ``before`` and in ``after``: at equal values the
+    entries of ``before`` come first and those of ``after`` last."""
+    pos = np.arange(len(x))
+    for other in before:
+        pos += np.searchsorted(other, x, "right")
+    for other in after:
+        pos += np.searchsorted(other, x, "left")
+    return pos
+
+
 def run_snf(stream: JobStream, needs, mus, n_servers: int):
-    """Preemptive smallest-need-first event loop.
+    """Preemptive smallest-need-first engine.
 
     Order the jobs in the system by (type, arrival).  The jobs in service are
     the longest prefix of that order whose needs fit in ``n_servers``; types
@@ -152,108 +184,227 @@ def run_snf(stream: JobStream, needs, mus, n_servers: int):
     starts and, if the servers overflow, preempts the prefix's last job, after
     which the next job needs more than the servers left.  Ties between types
     of equal need go by type index, so the allocation is the greedy packing of
-    the count vector that ``snf_allocation`` computes.
+    the count vector that ``snf_allocation`` computes.  At one instant every
+    departure comes before any arrival; departures go by job id, and so do
+    arrivals.
+
+    Type 0 heads the order, so it is never preempted: it is first come first
+    served on c = n_servers // needs[0] identical slots, and
+    ``slot_start_times`` gives its starts.  The event loop keeps only the
+    larger types.  It reads their arrivals and type 0's capacity events as
+    one time-sorted stream against its departure heap: a type-0 start at
+    arrival takes needs[0] servers and may preempt the prefix's last job; a
+    type-0 departure frees them and may start the first waiting job, unless
+    it hands its slot to a waiting type-0 job, which changes nothing.  If w
+    type-0 jobs start from the queue at one instant, the first w type-0
+    departures then, by job id, are their hand-offs.  The order of the
+    departures at one instant shows only in the log's order within it: the
+    allocation after them is the greedy packing whatever their order.
 
     Preempted jobs re-queue and draw a fresh service clock on resume (role-3
     stream), which is distribution-preserving for exponential service.
 
     Returns (waits, departures, zlog): zlog = (times float64, type, dz)
-    holds every change of the in-service count vector in order, logged as a
-    time and a code, i for a start of type i and ~i for a stop.  With at
-    most 128 types every code fits a signed byte, so the log and its type
-    and dz columns are int8; beyond that they are int64.  ``cumsum`` and
-    ``sum`` of int8 accumulate in int64, and ``needs[type] * dz`` is int64.
+    holds every change of the in-service count vector in time order, +1 for
+    a start and -1 for a stop.  At equal times type 0's stops come first,
+    then its starts, then the other types' changes in the loop's order, which
+    logs each as a code, i for a start of type i and ~i for a stop.  With at
+    most 128 types every code fits a signed byte, so the type and dz columns
+    are int8; beyond that they are int64.  ``cumsum`` and ``sum`` of int8
+    accumulate in int64, and ``needs[type] * dz`` is int64.
     """
     num = stream.horizon
-    arrivals = _view(stream.arrival_times)
-    unit_service = _view(stream.unit_service)
-    type_of = _view(stream.type_idx)
+    arrivals = stream.arrival_times
     needs_l = [int(v) for v in needs]
     mus_l = [float(v) for v in mus]
-
-    keys: list[int] = []  # type * num + job id of every job in the system
-    b = 0  # keys[:b] are in service
-    free = n_servers
-    enq_time = _zeros(num)
-    waits = _zeros(num)
-    departures = _zeros(num)
-    clock_epoch = [0] * num
-    heap: list[tuple[float, int, int]] = []
-    resample = resample_draws(stream.seed)
+    l0 = needs_l[0]
     # codes i and ~i fit a signed byte while there are at most 128 types
     log_t, log_code = array("d"), array("b" if len(needs_l) <= 128 else "q")
-    put_t, put_code = log_t.append, log_code.append
+    code_dtype = np.dtype(f"i{log_code.itemsize}")
+    waits = np.empty(num)
+    departures = np.empty(num)
 
-    k_next = 0
-    while k_next < num or keys:
-        t_arr = arrivals[k_next] if k_next < num else math.inf
-        if heap and heap[0][0] <= t_arr:
-            t, jid, epoch = heappop(heap)
-            if clock_epoch[jid] != epoch:
+    # type 0 on its slots: waits0 and deps0 hold its arrivals and service
+    # times, then its waits and departures
+    small = stream.type_idx == 0
+    waits0 = np.compress(small, arrivals)
+    deps0 = np.compress(small, stream.unit_service) / mus_l[0]
+    starts0 = slot_start_times(waits0, deps0, n_servers // l0)
+    deps0 += starts0
+    takes0 = waits0 == starts0  # started at arrival
+    np.subtract(starts0, waits0, out=waits0)
+    np.place(waits, small, waits0)
+    np.place(departures, small, deps0)
+    del waits0
+    order = np.argsort(deps0, kind="stable")
+    # per departure, the number of larger jobs that arrived before the
+    # departing job: the loop's departures of lower local id go first at
+    # equal times
+    rank = np.take(np.flatnonzero(small), order)
+    rank -= order
+    deps0 = np.take(deps0, order)
+    del order
+    # the hand-offs: a start from the queue takes the slot of the first
+    # departure at its time not yet handed over, by job id
+    handed = np.compress(~takes0, starts0)
+    frees = np.ones(len(deps0), dtype=bool)
+    frees[np.searchsorted(deps0, handed, "left") + np.arange(len(handed))
+          - np.searchsorted(handed, handed, "left")] = False
+    del handed
+
+    # the larger types' own state, indexed by local id in arrival order
+    larger = ~small
+    type_of = np.compress(larger, stream.type_idx)
+    service = np.compress(larger, stream.unit_service)
+    service /= np.take(np.asarray(mus_l), type_of)
+    type_of = type_of.astype(code_dtype)
+    num1 = len(type_of)
+
+    # the event stream: type-0 departures that free servers (-2 - rank)
+    # and, after them at equal times, the larger types' arrivals (local
+    # id) and type-0 starts at arrival (-1) in job id order; a last event
+    # at +inf drains the heap
+    arrive = larger.copy()  # a larger arrival or a type-0 start at arrival
+    np.place(arrive, small, takes0)
+    del small, takes0
+    ev_dtype = np.int32 if num < 2**31 - 2 else np.int64
+    codes = np.full(np.count_nonzero(arrive), -1, dtype=ev_dtype)
+    codes[np.compress(arrive, larger)] = np.arange(num1)
+    del larger
+    arrive_t = np.compress(arrive, arrivals)
+    del arrive
+    free_t = np.compress(frees, deps0)
+    size = len(arrive_t) + len(free_t) + 1
+    at = _merge_positions(free_t, (), (arrive_t,))
+    rest = np.ones(size, dtype=bool)
+    rest[at] = False
+    rest[-1] = False
+    ev_code = np.empty(size, dtype=ev_dtype)
+    ev_code[at] = -2 - np.compress(frees, rank)
+    ev_code[-1] = -2 - num1  # after every departure
+    np.place(ev_code, rest, codes)
+    del codes, rank
+    ev_t = np.empty(size)
+    ev_t[at] = free_t
+    ev_t[-1] = math.inf
+    np.place(ev_t, rest, arrive_t)
+    del arrive_t, free_t, at, rest, frees
+
+    keys: list[int] = []  # type * num1 + local id of every job in the system
+    b = 0  # keys[:b] are in service
+    free = n_servers
+    waits1 = _zeros(num1)
+    deps1 = _zeros(num1)  # a waiting job's queue entry time until it departs
+    clock_epoch = [0] * num1
+    heap: list[tuple[float, int, int]] = []
+    resample = resample_draws(stream.seed)
+    put_t, put_code = log_t.append, log_code.append
+    type_of, service = _view(type_of), _view(service)
+
+    events = zip(_view(ev_t), _view(ev_code))
+    t_ev, code = next(events)
+    while True:
+        # a type-0 departure goes after the heap's departures of lower rank
+        if heap and (d := heap[0][0]) <= t_ev and (
+                d < t_ev or code >= -1 or heap[0][1] < -2 - code):
+            t, lid, epoch = heappop(heap)
+            if clock_epoch[lid] != epoch:
                 continue
-            i = type_of[jid]
-            keys.pop(bisect_left(keys, i * num + jid))
+            i = type_of[lid]
+            keys.pop(bisect_left(keys, i * num1 + lid))
             b -= 1
             free += needs_l[i]
-            departures[jid] = t
+            deps1[lid] = t
             put_t(t)
             put_code(~i)
-            if b == len(keys):
-                continue
-            # the first waiting job starts or resumes if it now fits
-            jid = keys[b] % num
-            i = type_of[jid]
-            need = needs_l[i]
-            if need > free:
-                continue
-            b += 1
-            free -= need
-            waits[jid] += t - enq_time[jid]
-            if clock_epoch[jid]:
-                dur = next(resample) / mus_l[i]
-            else:
-                dur = unit_service[jid] / mus_l[i]
-            epoch = clock_epoch[jid] + 1
-            clock_epoch[jid] = epoch
-            heappush(heap, (t + dur, jid, epoch))
-            put_t(t)
-            put_code(i)
         else:
-            t = t_arr
-            jid = k_next
-            k_next += 1
-            i = type_of[jid]
-            need = needs_l[i]
-            key = i * num + jid
-            p = bisect_left(keys, key)
-            keys.insert(p, key)
-            if p > b or p == b and need > free:  # behind the prefix: it waits
-                enq_time[jid] = t
+            t = t_ev
+            if code >= -1:
+                if code >= 0:  # a larger job arrives
+                    lid = code
+                    i = type_of[lid]
+                    need = needs_l[i]
+                    key = i * num1 + lid
+                    p = bisect_left(keys, key)
+                    keys.insert(p, key)
+                    t_ev, code = next(events)
+                    if p > b or p == b and need > free:  # it waits
+                        deps1[lid] = t
+                        continue
+                    # it lands inside the prefix and starts
+                    b += 1
+                    free -= need
+                    clock_epoch[lid] = 1
+                    heappush(heap, (t + service[lid], lid, 1))
+                    put_t(t)
+                    put_code(i)
+                else:  # a type-0 job starts at arrival
+                    free -= l0
+                    t_ev, code = next(events)
+                if free >= 0:
+                    continue
+                # the servers overflow: the prefix's last job is preempted
+                b -= 1
+                lid = keys[b] % num1
+                i = type_of[lid]
+                free += needs_l[i]
+                deps1[lid] = t
+                clock_epoch[lid] += 1
+                put_t(t)
+                put_code(~i)
                 continue
-            # it lands inside the prefix: it starts, and if the servers
-            # overflow, the prefix's last job is preempted
-            b += 1
-            free -= need
-            clock_epoch[jid] = 1
-            heappush(heap, (t + unit_service[jid] / mus_l[i], jid, 1))
-            put_t(t)
-            put_code(i)
-            if free >= 0:
-                continue
-            b -= 1
-            jid = keys[b] % num
-            i = type_of[jid]
-            free += needs_l[i]
-            enq_time[jid] = t
-            clock_epoch[jid] += 1
-            put_t(t)
-            put_code(~i)
-    codes = np.frombuffer(log_code, dtype=f"i{log_code.itemsize}")
+            if t == math.inf:  # the end of the stream; the heap is empty
+                break
+            free += l0  # a type-0 departure frees its servers
+            t_ev, code = next(events)
+        if b == len(keys):
+            continue
+        # the first waiting job starts or resumes if it now fits
+        lid = keys[b] % num1
+        i = type_of[lid]
+        need = needs_l[i]
+        if need > free:
+            continue
+        b += 1
+        free -= need
+        waits1[lid] += t - deps1[lid]
+        if clock_epoch[lid]:
+            dur = next(resample) / mus_l[i]
+        else:
+            dur = service[lid]
+        epoch = clock_epoch[lid] + 1
+        clock_epoch[lid] = epoch
+        heappush(heap, (t + dur, lid, epoch))
+        put_t(t)
+        put_code(i)
+    del ev_t, ev_code, events, type_of, service, clock_epoch, resample, put_t
+    larger = stream.type_idx != 0
+    np.place(waits, larger, waits1)
+    np.place(departures, larger, deps1)
+    del larger, waits1, deps1
+
+    # the log: type 0's stops, then its starts, then the loop's entries
+    log_t = np.frombuffer(log_t)
+    size = len(deps0) + len(starts0) + len(log_t)
+    zt = np.empty(size)
+    zi = np.zeros(size, dtype=code_dtype)
+    zdz = np.empty(size, dtype=code_dtype)
+    rest = np.ones(size, dtype=bool)
+    for times, dz, before, after in ((deps0, -1, (), (starts0, log_t)),
+                                     (starts0, 1, (deps0,), (log_t,))):
+        at = _merge_positions(times, before, after)
+        zt[at] = times
+        zdz[at] = dz
+        rest[at] = False
+    del at, deps0, starts0
+    np.place(zt, rest, log_t)
+    del log_t
+    codes = np.frombuffer(log_code, dtype=code_dtype)
     stops = codes < 0
-    one = codes.dtype.type(1)
-    zlog = (np.frombuffer(log_t), np.where(stops, ~codes, codes),
-            np.where(stops, -one, one))
-    return np.frombuffer(waits), np.frombuffer(departures), zlog
+    np.place(zi, rest, np.where(stops, ~codes, codes))
+    one = code_dtype.type(1)
+    np.place(zdz, rest, np.where(stops, -one, one))
+    return waits, departures, (zt, zi, zdz)
 
 
 def run_snf_np(stream: JobStream, needs, services, n_servers: int) -> np.ndarray:
@@ -405,6 +556,15 @@ class AuditResult:
 _SLICE = 4096
 
 
+def _stable_order(a):
+    """The stable argsort of ``a``, held as int32 when its rows fit, and
+    ``a`` in that order, gathered with the int64 order (``np.take`` first
+    converts int32 indices to int64)."""
+    order = np.argsort(a, kind="stable")
+    in_order = np.take(a, order)
+    return order.astype(np.int32) if len(a) < 2**31 else order, in_order
+
+
 def _epoch_slices(arrivals, departures, types, needs, service_starts, zlog):
     """The merged epoch sweep of ``collect_stats``, one slice of time at a
     time: per slice, its distinct change times ``t_ep`` and the total server
@@ -418,13 +578,14 @@ def _epoch_slices(arrivals, departures, types, needs, service_starts, zlog):
         inner = np.searchsorted(sorted_times, taus, "left").tolist()
         return zip([0, *inner], [*inner, len(sorted_times)])
 
-    by_dep = np.argsort(departures, kind="stable")
-    dep_cuts = cuts(np.take(departures, by_dep))
+    by_dep, in_order = _stable_order(departures)
+    dep_cuts = cuts(in_order)
     if zlog is None:
-        by_start = np.argsort(service_starts, kind="stable")
-        start_cuts = cuts(np.take(service_starts, by_start))
+        by_start, in_order = _stable_order(service_starts)
+        start_cuts = cuts(in_order)
     else:
         start_cuts = cuts(zlog[0])
+    del in_order
     carry = np.zeros(2, dtype=np.int64)  # sx and sz before the slice
     for (a0, a1), (s0, s1), (d0, d1) in zip(cuts(arrivals), start_cuts,
                                             dep_cuts):

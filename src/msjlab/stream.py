@@ -93,8 +93,9 @@ def resample_draws(seed: int):
 
     They come in blocks of 16,384 from the role-3 Philox stream, so the
     sequence is a pure function of the stream seed and a simulation that
-    uses it stays deterministic.
+    uses it stays deterministic.  A block is read through a memoryview,
+    which boxes each draw only when it is taken.
     """
     gen = _role_generator(seed, _ROLE_RESAMPLE)
     while True:
-        yield from _exponential_from_uniform(gen.random(16384)).tolist()
+        yield from memoryview(_exponential_from_uniform(gen.random(16384)))

@@ -225,15 +225,16 @@ def _peak_bytes_per_job(run, jobs):
         tracemalloc.stop()
 
 
-# Measured 55.0 bytes per job for FCFS and SNF-NP and 51.6 for SNF, set in
-# the epoch sweep's last slice: the sorted departure (and start) orders, the
-# run's t_ep and bool queued parts and one slice's sort.  The qprob integral
-# just below holds t_ep, its float64 integrand and the overlap buffer, 8
-# bytes per epoch each (49.7 for SNF); it sets the peak at 200k jobs, where
-# a slice weighs less per job.  Each bound is about 5% above its value.  A
-# bool integrand copied to float64, or interval ends copied from t_ep, took
-# 67.7 for all three; a sweep over the whole run at once took 134.3 (FCFS,
-# SNF-NP) and 149.5 (SNF).
+# Measured 49.7 bytes per job for all three (49.6 at 200k jobs), set by
+# the qprob integral: t_ep, its float64 integrand and the overlap buffer, 8
+# bytes per epoch each.  The epoch sweep's last slice sits just below it:
+# the int32 sorted departure (and start) orders, the run's t_ep and bool
+# queued parts and one slice's sort; with int64 orders it set the peak, at
+# 55.0 for FCFS and SNF-NP and 51.6 for SNF, which has no start order.  Each
+# bound is about 5% above the int64 orders' values.  A bool integrand
+# copied to float64, or interval ends copied from t_ep, took 67.7 for all
+# three; a sweep over the whole run at once took 134.3 (FCFS, SNF-NP) and
+# 149.5 (SNF).
 COLLECT_STATS_PEAK = {"fcfs": 58, "snf": 54, "snf-np": 58}
 
 
@@ -257,15 +258,38 @@ def test_collect_stats_peak_memory(set_one_64, policy, monkeypatch):
     assert len(peaks) == 1 and peaks[0] <= COLLECT_STATS_PEAK[policy]
 
 
-# Measured FCFS 79.5, SNF 90.3, SNF-NP 79.5, Modified-FCFS 79.4 and
-# infinite server 71.0 bytes per job: the result's waits and departures, the
+# Measured FCFS 74.2, SNF 87.1, SNF-NP 74.2, Modified-FCFS 74.1 and
+# infinite server 65.7 bytes per job: the result's waits and departures, the
 # engine's start times (none for the infinite server, whose starts are the
 # arrivals; SNF: its log, 8 bytes of time and 2 of int8 codes per entry,
 # about 2.1 entries per job) and one ``collect_stats`` peak.  Each bound is
-# about 5% above its value, so one more 8-byte-per-job array held through
-# ``collect_stats`` fails it.  With an int64 SNF log and the qprob
-# integral's float copy and interval ends, FCFS took 92.2 and SNF 136.3.
+# about 5% above its value with int64 epoch-sweep orders (FCFS 79.5, SNF
+# 90.3, SNF-NP 79.5, Modified-FCFS 79.4, infinite server 71.0), so one more
+# 8-byte-per-job array held through ``collect_stats`` fails it.  With an
+# int64 SNF log and the qprob integral's float copy and interval ends, FCFS
+# took 92.2 and SNF 136.3.
 SIMULATE_PEAK = {"fcfs": 84, "snf": 95, "snf-np": 84, "mod-fcfs": 84, "inf": 75}
+
+
+# Measured 71.2 bytes per job, set either by the event stream's assembly
+# or by the log merge: the result's waits and departures, type 0's start
+# and sorted departure times, and then the event times and int32 codes or
+# the merged log and one int64 array of merge positions.  About 5% above.
+# One loop over every type, with per-job wait and epoch state, took 70.1;
+# holding each block of resample draws as a list of floats took 79.0.
+RUN_SNF_PEAK = 75
+
+
+def test_run_snf_peak_memory(set_one_64):
+    """``run_snf`` alone, 50k jobs at set one, n=64, allocates at most
+    ``RUN_SNF_PEAK`` bytes per job above its live input stream, below the
+    ``collect_stats`` phase of a whole SNF ``simulate``."""
+    stream = build_job_stream(0, 50_000, set_one_64)
+    needs = np.asarray(set_one_64.server_needs, dtype=np.int64)
+    mus = np.asarray(set_one_64.service_rates, dtype=np.float64)
+    peak = _peak_bytes_per_job(
+        lambda: engines.run_snf(stream, needs, mus, set_one_64.n), 50_000)
+    assert peak <= RUN_SNF_PEAK
 
 
 @pytest.mark.parametrize("policy", SIMULATE_PEAK)

@@ -13,11 +13,13 @@ reference's start times.  Every system's ``batch_qprob``, audit and
 ``max_busy`` must equal, bit for bit, those of ``reference.merged_sweep``,
 which sums both levels of the merged epoch sweep in one array, fed with the
 reference's service starts or the SNF log.  Hand-made streams add the ties
-of the head-of-line start-time recursion and of the SNF prefix boundary,
-where arrivals, starts and departures share dyadic times.  The sweep also
-runs with slices of 1 and 3 arrivals, so that slice boundaries land on
-times that arrivals, starts and departures share.  Configs of 128 and 130
-types put the SNF log at the edge of its int8 width and past it.
+of the head-of-line start-time recursion, of the SNF prefix boundary and
+of SNF's type-0 hand-offs, where arrivals, starts and departures share
+dyadic times.  SNF's type 0, which nothing preempts, must also get the
+waits and departures of first come first served on its own slots.  The
+sweep also runs with slices of 1 and 3 arrivals, so that slice boundaries
+land on times that arrivals, starts and departures share.  Configs of 128
+and 130 types put the SNF log at the edge of its int8 width and past it.
 """
 
 import numpy as np
@@ -26,7 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from msjlab import (JobTypeSpec, PolicyKind, SystemConfig, build_job_stream,
-                    derive_params, simulate, simulate_coupled)
+                    derive_params, make_param_set, simulate, simulate_coupled)
 from msjlab import engines
 from msjlab.stream import JobStream
 from reference import merged_sweep, reference_run
@@ -69,8 +71,12 @@ def _hand_made(n, types, arrivals, unit_service, type_idx):
 # SNF prefix boundary: an arrival just behind the prefix whose need equals
 # the free servers, or exceeds them by one; a small-need arrival inside the
 # prefix that preempts its last job; and two equal-need types whose waiting
-# jobs SNF takes by type and SNF-NP by arrival.  Last, simultaneous
+# jobs SNF takes by type and SNF-NP by arrival.  Then simultaneous
 # arrivals, which leave some slices of the merged sweep with no change.
+# Last, SNF's type-0 capacity events: two type-0 departures at one instant,
+# one handing its slot to a waiting type-0 job and one freeing servers, as
+# larger jobs arrive or leave; and need 2 on 5 servers, where type 0 has 2
+# slots and one server it can never use.
 HAND_MADE = {
     "departure at next arrival": _hand_made(
         2, [(0.25, 1.0, 1), (0.25, 2.0, 2)],
@@ -102,6 +108,26 @@ HAND_MADE = {
         [0.0, 0.5, 0.5, 0.5, 1.0, 2.0, 2.0, 3.0],
         [1.0, 2.0, 0.5, 1.0, 0.25, 1.0, 0.5, 0.5],
         [0, 1, 0, 1, 0, 0, 1, 0]),
+    # at 1.0 J0 hands its slot to J2 and J1's servers start J3; J4, of a
+    # smaller type, arrives then and preempts J3, and J5, a type-0 job
+    # arriving at the same instant, starts and preempts J4
+    "hand-off as a larger job arrives": _hand_made(
+        4, [(0.25, 1.0, 2), (0.25, 1.0, 2), (0.25, 1.0, 2)],
+        [0.0, 0.0, 0.25, 0.5, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0, 1.0, 0.5],
+        [0, 0, 0, 2, 1, 0]),
+    # at 1.0 J0 hands its slot to J2 and J1's servers start J3; at 2.0
+    # J2's departure, whose servers start J4, ties with J3's, and J5
+    # arrives and starts, and J6, a type-0 job arriving then, preempts it
+    "hand-off and free, then a free tied with a larger departure": _hand_made(
+        4, [(0.25, 1.0, 2), (0.25, 1.0, 2)],
+        [0.0, 0.0, 0.25, 0.5, 1.5, 2.0, 2.0],
+        [1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.5], [0, 0, 0, 1, 1, 1, 0]),
+    # J2 waits for one of type 0's 2 slots; at 1.5 J2's departure frees
+    # servers for J3, arriving then, and J4, a type-0 job arriving at the
+    # same instant, starts and preempts J3
+    "need 2 on 5 servers": _hand_made(
+        5, [(0.25, 1.0, 2), (0.25, 1.0, 3)], [0.0, 0.0, 0.5, 1.5, 1.5],
+        [1.0, 2.0, 0.5, 1.0, 1.0], [0, 0, 0, 1, 0]),
 }
 
 
@@ -124,6 +150,37 @@ def test_engines_match_reference_policies_on_ties(case, monkeypatch):
     for slice_size in SLICES:
         monkeypatch.setattr(engines, "_SLICE", slice_size)
         _check_against_reference(*HAND_MADE[case])
+
+
+def _check_type0_autonomy(config, stream):
+    """SNF's type 0 is first come first served on n // l_0 slots: its waits
+    and departures are those of ``hol_start_times`` on the type-0 jobs alone
+    with that many servers and unit needs, bit for bit."""
+    needs = np.asarray(config.server_needs, dtype=np.int64)
+    mus = np.asarray(config.service_rates, dtype=np.float64)
+    waits, departures, _ = engines.run_snf(stream, needs, mus, config.n)
+    small = stream.type_idx == 0
+    arrivals = np.compress(small, stream.arrival_times)
+    services = np.compress(small, stream.unit_service) / mus[0]
+    ones = np.ones(len(arrivals), dtype=np.int64)
+    starts = engines.hol_start_times(arrivals, services, ones,
+                                     config.n // config.server_needs[0], ones)
+    assert np.compress(small, waits).tobytes() == (starts - arrivals).tobytes()
+    assert np.compress(small, departures).tobytes() == (
+        starts + services).tobytes()
+
+
+@given(small_configs(), st.integers(1, 300), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_snf_type0_is_fcfs_on_its_slots(config, jobs, seed):
+    _check_type0_autonomy(config, build_job_stream(seed, jobs, config))
+
+
+@pytest.mark.parametrize("param_set", ["one", "two"])
+@pytest.mark.parametrize("n", [64, 1024])
+def test_snf_type0_is_fcfs_on_its_slots_at_study_sets(param_set, n):
+    config = make_param_set(param_set, n)
+    _check_type0_autonomy(config, build_job_stream(0, 20_000, config))
 
 
 def _wide_config(num_types):
