@@ -13,7 +13,10 @@ in int8 for at most 128 types and in int64 beyond.  Its type 0, never
 preempted, is first come first served on n // l_0 slots (the c-server
 recursion ``slot_start_times``); only the larger types go through the event
 loop, which sees type 0 as capacity events merged by time into their
-arrivals.  At one instant departures come first, each kind by job id.
+arrivals and logs every change, type 0's too, in time order.  At one
+instant departures come first, the larger types' before type 0's; no
+output sees their order, since the allocation after the instant is the
+greedy packing whatever it is.
 ``collect_stats`` turns the start times or the log into time averages, batch
 integrals, the queueing-probability indicator and the work-conservation
 audit, with one pass per type over its job and in-service counts.
@@ -160,18 +163,6 @@ def slot_start_times(arrivals, services, slots: int) -> np.ndarray:
     return np.frombuffer(starts)
 
 
-def _merge_positions(x, before, after):
-    """Positions of the sorted ``x`` in the stable merge of ``x`` with the
-    sorted arrays in ``before`` and in ``after``: at equal values the
-    entries of ``before`` come first and those of ``after`` last."""
-    pos = np.arange(len(x))
-    for other in before:
-        pos += np.searchsorted(other, x, "right")
-    for other in after:
-        pos += np.searchsorted(other, x, "left")
-    return pos
-
-
 def run_snf(stream: JobStream, needs, mus, n_servers: int):
     """Preemptive smallest-need-first engine.
 
@@ -185,8 +176,7 @@ def run_snf(stream: JobStream, needs, mus, n_servers: int):
     which the next job needs more than the servers left.  Ties between types
     of equal need go by type index, so the allocation is the greedy packing of
     the count vector that ``snf_allocation`` computes.  At one instant every
-    departure comes before any arrival; departures go by job id, and so do
-    arrivals.
+    departure comes before any arrival, and arrivals go by job id.
 
     Type 0 heads the order, so it is never preempted: it is first come first
     served on c = n_servers // needs[0] identical slots, and
@@ -196,22 +186,25 @@ def run_snf(stream: JobStream, needs, mus, n_servers: int):
     arrival takes needs[0] servers and may preempt the prefix's last job; a
     type-0 departure frees them and may start the first waiting job, unless
     it hands its slot to a waiting type-0 job, which changes nothing.  If w
-    type-0 jobs start from the queue at one instant, the first w type-0
-    departures then, by job id, are their hand-offs.  The order of the
-    departures at one instant shows only in the log's order within it: the
-    allocation after them is the greedy packing whatever their order.
+    type-0 jobs start from the queue at one instant, w of the type-0
+    departures then are their hand-offs.  At one instant the larger types'
+    departures, from the heap, go before type 0's.  No output sees the
+    order of the departures at one instant: the allocation after them is
+    the greedy packing whatever their order, the jobs it starts resume in
+    SNF order, and the log's entries within the instant bound intervals of
+    length zero, so every step value after the instant is unchanged.
 
     Preempted jobs re-queue and draw a fresh service clock on resume (role-3
     stream), which is distribution-preserving for exponential service.
 
     Returns (waits, departures, zlog): zlog = (times float64, type, dz)
     holds every change of the in-service count vector in time order, +1 for
-    a start and -1 for a stop.  At equal times type 0's stops come first,
-    then its starts, then the other types' changes in the loop's order, which
-    logs each as a code, i for a start of type i and ~i for a stop.  With at
-    most 128 types every code fits a signed byte, so the type and dz columns
-    are int8; beyond that they are int64.  ``cumsum`` and ``sum`` of int8
-    accumulate in int64, and ``needs[type] * dz`` is int64.
+    a start and -1 for a stop, and at equal times in the loop's order.  The
+    loop logs each as a code, i for a start of type i and ~i for a stop, and
+    a type-0 hand-off as a stop and then a start.  With at most 128 types
+    every code fits a signed byte, so the type and dz columns are int8;
+    beyond that they are int64.  ``cumsum`` and ``sum`` of int8 accumulate
+    in int64, and ``needs[type] * dz`` is int64.
     """
     num = stream.horizon
     arrivals = stream.arrival_times
@@ -221,6 +214,7 @@ def run_snf(stream: JobStream, needs, mus, n_servers: int):
     # codes i and ~i fit a signed byte while there are at most 128 types
     log_t, log_code = array("d"), array("b" if len(needs_l) <= 128 else "q")
     code_dtype = np.dtype(f"i{log_code.itemsize}")
+    ev_dtype = np.int32 if num < 2**31 else np.int64
     waits = np.empty(num)
     departures = np.empty(num)
 
@@ -236,21 +230,15 @@ def run_snf(stream: JobStream, needs, mus, n_servers: int):
     np.place(waits, small, waits0)
     np.place(departures, small, deps0)
     del waits0
-    order = np.argsort(deps0, kind="stable")
-    # per departure, the number of larger jobs that arrived before the
-    # departing job: the loop's departures of lower local id go first at
-    # equal times
-    rank = np.take(np.flatnonzero(small), order)
-    rank -= order
-    deps0 = np.take(deps0, order)
-    del order
-    # the hand-offs: a start from the queue takes the slot of the first
-    # departure at its time not yet handed over, by job id
+    deps0.sort()
+    # a departure frees its servers (-2), or hands its slot over (-3): a
+    # start from the queue takes the slot of the first departure at its
+    # time not yet handed over
     handed = np.compress(~takes0, starts0)
-    frees = np.ones(len(deps0), dtype=bool)
-    frees[np.searchsorted(deps0, handed, "left") + np.arange(len(handed))
-          - np.searchsorted(handed, handed, "left")] = False
-    del handed
+    dep_code = np.full(len(deps0), -2, dtype=ev_dtype)
+    dep_code[np.searchsorted(deps0, handed, "left") + np.arange(len(handed))
+             - np.searchsorted(handed, handed, "left")] = -3
+    del handed, starts0
 
     # the larger types' own state, indexed by local id in arrival order
     larger = ~small
@@ -260,35 +248,32 @@ def run_snf(stream: JobStream, needs, mus, n_servers: int):
     type_of = type_of.astype(code_dtype)
     num1 = len(type_of)
 
-    # the event stream: type-0 departures that free servers (-2 - rank)
-    # and, after them at equal times, the larger types' arrivals (local
-    # id) and type-0 starts at arrival (-1) in job id order; a last event
-    # at +inf drains the heap
+    # the event stream: type-0 departures and, after them at equal times,
+    # the larger types' arrivals (local id) and type-0 starts at arrival
+    # (-1) in job id order; a last event at +inf drains the heap
     arrive = larger.copy()  # a larger arrival or a type-0 start at arrival
     np.place(arrive, small, takes0)
     del small, takes0
-    ev_dtype = np.int32 if num < 2**31 - 2 else np.int64
     codes = np.full(np.count_nonzero(arrive), -1, dtype=ev_dtype)
     codes[np.compress(arrive, larger)] = np.arange(num1)
     del larger
     arrive_t = np.compress(arrive, arrivals)
     del arrive
-    free_t = np.compress(frees, deps0)
-    size = len(arrive_t) + len(free_t) + 1
-    at = _merge_positions(free_t, (), (arrive_t,))
+    size = len(arrive_t) + len(deps0) + 1
+    at = np.searchsorted(arrive_t, deps0, "left") + np.arange(len(deps0))
     rest = np.ones(size, dtype=bool)
     rest[at] = False
     rest[-1] = False
     ev_code = np.empty(size, dtype=ev_dtype)
-    ev_code[at] = -2 - np.compress(frees, rank)
-    ev_code[-1] = -2 - num1  # after every departure
+    ev_code[at] = dep_code
+    ev_code[-1] = -2
     np.place(ev_code, rest, codes)
-    del codes, rank
+    del codes, dep_code
     ev_t = np.empty(size)
-    ev_t[at] = free_t
+    ev_t[at] = deps0
     ev_t[-1] = math.inf
     np.place(ev_t, rest, arrive_t)
-    del arrive_t, free_t, at, rest, frees
+    del arrive_t, deps0, at, rest
 
     keys: list[int] = []  # type * num1 + local id of every job in the system
     b = 0  # keys[:b] are in service
@@ -304,9 +289,7 @@ def run_snf(stream: JobStream, needs, mus, n_servers: int):
     events = zip(_view(ev_t), _view(ev_code))
     t_ev, code = next(events)
     while True:
-        # a type-0 departure goes after the heap's departures of lower rank
-        if heap and (d := heap[0][0]) <= t_ev and (
-                d < t_ev or code >= -1 or heap[0][1] < -2 - code):
+        if heap and heap[0][0] <= t_ev:
             t, lid, epoch = heappop(heap)
             if clock_epoch[lid] != epoch:
                 continue
@@ -333,14 +316,14 @@ def run_snf(stream: JobStream, needs, mus, n_servers: int):
                         continue
                     # it lands inside the prefix and starts
                     b += 1
-                    free -= need
                     clock_epoch[lid] = 1
                     heappush(heap, (t + service[lid], lid, 1))
-                    put_t(t)
-                    put_code(i)
                 else:  # a type-0 job starts at arrival
-                    free -= l0
+                    i, need = 0, l0
                     t_ev, code = next(events)
+                free -= need
+                put_t(t)
+                put_code(i)
                 if free >= 0:
                     continue
                 # the servers overflow: the prefix's last job is preempted
@@ -355,7 +338,14 @@ def run_snf(stream: JobStream, needs, mus, n_servers: int):
                 continue
             if t == math.inf:  # the end of the stream; the heap is empty
                 break
-            free += l0  # a type-0 departure frees its servers
+            put_t(t)  # a type-0 job departs
+            put_code(~0)
+            if code == -3:  # it hands its slot to a waiting type-0 job
+                put_t(t)
+                put_code(0)
+                t_ev, code = next(events)
+                continue
+            free += l0
             t_ev, code = next(events)
         if b == len(keys):
             continue
@@ -383,28 +373,12 @@ def run_snf(stream: JobStream, needs, mus, n_servers: int):
     np.place(departures, larger, deps1)
     del larger, waits1, deps1
 
-    # the log: type 0's stops, then its starts, then the loop's entries
-    log_t = np.frombuffer(log_t)
-    size = len(deps0) + len(starts0) + len(log_t)
-    zt = np.empty(size)
-    zi = np.zeros(size, dtype=code_dtype)
-    zdz = np.empty(size, dtype=code_dtype)
-    rest = np.ones(size, dtype=bool)
-    for times, dz, before, after in ((deps0, -1, (), (starts0, log_t)),
-                                     (starts0, 1, (deps0,), (log_t,))):
-        at = _merge_positions(times, before, after)
-        zt[at] = times
-        zdz[at] = dz
-        rest[at] = False
-    del at, deps0, starts0
-    np.place(zt, rest, log_t)
-    del log_t
     codes = np.frombuffer(log_code, dtype=code_dtype)
     stops = codes < 0
-    np.place(zi, rest, np.where(stops, ~codes, codes))
     one = code_dtype.type(1)
-    np.place(zdz, rest, np.where(stops, -one, one))
-    return waits, departures, (zt, zi, zdz)
+    return waits, departures, (np.frombuffer(log_t),
+                               np.where(stops, ~codes, codes),
+                               np.where(stops, -one, one))
 
 
 def run_snf_np(stream: JobStream, needs, services, n_servers: int) -> np.ndarray:

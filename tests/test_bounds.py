@@ -9,6 +9,7 @@ from msjlab import (ConfigError, JobTypeSpec, SystemConfig, check_assumptions,
                     critical_indices, derive_params, evaluate_bounds,
                     mminf_negative_part, mminf_tail)
 
+from test_golden import BOUNDS_CONFIGS
 from test_model import configs  # reuse the config generator
 
 
@@ -42,6 +43,13 @@ class TestEvaluateBoundsSetOne64:
         assert regimes == {1: "light", 2: "intermediate", 3: "heavy"}
         assert self.rep.snf_general[3]["value"] == pytest.approx(3.0)
         assert self.rep.snf_general[1]["exponent"] == pytest.approx(48**2 / 64)
+
+    def test_snf_general_mean(self, set_one_64):
+        # snf_upper plus type 2's intermediate share at the total rate
+        p = derive_params(set_one_64)
+        share = (math.sqrt(p.sub_sigma2[1]) * math.log(64)
+                 / (p.lambda_total * set_one_64.server_needs[1]))
+        assert self.rep.snf_general_mean == self.rep.snf_upper + share
 
 
 def test_degenerate_single_type_flagged(mm2):
@@ -114,6 +122,15 @@ def test_snf_upper_absent_reason_round_trips():
     doc = json.loads(json.dumps(rep.to_dict()))
     assert doc["snf_upper"] == {"absent": rep.absent["snf_upper"]}
     assert doc["snf_upper"]["absent"].startswith("subsystem 2")
+
+
+def test_snf_general_mean_absent_with_reason():
+    # the golden bounds pin's "absent" config: delta_2 = 6.4 < l_2 = 8
+    rep = evaluate_bounds(SystemConfig.from_file_dict(BOUNDS_CONFIGS["absent"]))
+    assert rep.snf_general_mean is None
+    reason = "a heavy-regime term is absent"
+    assert rep.absent["snf_general_mean"] == reason
+    assert rep.to_dict()["snf_general_mean"] == {"absent": reason}
 
 
 @given(configs())

@@ -258,7 +258,7 @@ def test_collect_stats_peak_memory(set_one_64, policy, monkeypatch):
     assert len(peaks) == 1 and peaks[0] <= COLLECT_STATS_PEAK[policy]
 
 
-# Measured FCFS 74.2, SNF 87.1, SNF-NP 74.2, Modified-FCFS 74.1 and
+# Measured FCFS 74.2, SNF 87.4, SNF-NP 74.2, Modified-FCFS 74.1 and
 # infinite server 65.7 bytes per job: the result's waits and departures, the
 # engine's start times (none for the infinite server, whose starts are the
 # arrivals; SNF: its log, 8 bytes of time and 2 of int8 codes per entry,
@@ -271,12 +271,14 @@ def test_collect_stats_peak_memory(set_one_64, policy, monkeypatch):
 SIMULATE_PEAK = {"fcfs": 84, "snf": 95, "snf-np": 84, "mod-fcfs": 84, "inf": 75}
 
 
-# Measured 71.2 bytes per job, set either by the event stream's assembly
-# or by the log merge: the result's waits and departures, type 0's start
-# and sorted departure times, and then the event times and int32 codes or
-# the merged log and one int64 array of merge positions.  About 5% above.
-# One loop over every type, with per-job wait and epoch state, took 70.1;
-# holding each block of resample draws as a list of floats took 79.0.
+# Measured 72.3 bytes per job (70.4 at 200k jobs), set at the end of the
+# event loop: the result's waits and departures, the event times and int32
+# codes, the larger types' service times, waits, departures and epochs, and
+# the whole log, type 0's entries included, 8 bytes of time and 1 of int8
+# code per entry.  The bound is about 5% above 71.2, the peak when type
+# 0's entries were merged into the log after the loop.  One loop over every
+# type, with per-job wait and epoch state, took 70.1; holding each block of
+# resample draws as a list of floats took 79.0.
 RUN_SNF_PEAK = 75
 
 

@@ -155,10 +155,12 @@ def test_engines_match_reference_policies_on_ties(case, monkeypatch):
 def _check_type0_autonomy(config, stream):
     """SNF's type 0 is first come first served on n // l_0 slots: its waits
     and departures are those of ``hol_start_times`` on the type-0 jobs alone
-    with that many servers and unit needs, bit for bit."""
+    with that many servers and unit needs, bit for bit, and its log's starts
+    and stops are at those start and departure times."""
     needs = np.asarray(config.server_needs, dtype=np.int64)
     mus = np.asarray(config.service_rates, dtype=np.float64)
-    waits, departures, _ = engines.run_snf(stream, needs, mus, config.n)
+    waits, departures, (zt, zi, zdz) = engines.run_snf(stream, needs, mus,
+                                                       config.n)
     small = stream.type_idx == 0
     arrivals = np.compress(small, stream.arrival_times)
     services = np.compress(small, stream.unit_service) / mus[0]
@@ -168,6 +170,9 @@ def _check_type0_autonomy(config, stream):
     assert np.compress(small, waits).tobytes() == (starts - arrivals).tobytes()
     assert np.compress(small, departures).tobytes() == (
         starts + services).tobytes()
+    for step, times in ((1, starts), (-1, starts + services)):
+        logged = np.compress((zi == 0) & (zdz == step), zt)
+        assert np.sort(logged).tobytes() == np.sort(times).tobytes()
 
 
 @given(small_configs(), st.integers(1, 300), st.integers(0, 2**32 - 1))
@@ -235,6 +240,8 @@ def _check_against_reference(config, stream):
             code = np.int8 if config.num_types <= 128 else np.int64
             assert [a.dtype for a in zlog] == [np.float64, code, code]
             assert len(zlog[0]) == len(zlog[1]) == len(zlog[2])
+            # in time order, which collect_stats's sliced sweep relies on
+            assert (zlog[0][1:] >= zlog[0][:-1]).all()
             # an event moves at most one job besides its own, one log entry each
             assert (np.abs(zlog[2]) == 1).all()
             # perfbench's counts sum the steps: exact past int8's range too
